@@ -6,6 +6,8 @@
 // paper identifies as one source of asymmetric back-end utilization.
 package bpred
 
+import "fmt"
+
 // Predictor is a gshare branch predictor. The zero value is unusable;
 // construct with New.
 type Predictor struct {
@@ -115,6 +117,20 @@ func (p *Predictor) MispredictRate() float64 {
 		return 0
 	}
 	return float64(p.Mispredict) / float64(p.Lookups)
+}
+
+// CopyFrom makes p an exact copy of src — counters, history, BTB and
+// statistics — so that every later prediction matches src's. Both
+// predictors must have the same table sizes; a mismatch is a programming
+// error and panics.
+func (p *Predictor) CopyFrom(src *Predictor) {
+	if p.historyBits != src.historyBits || len(p.counters) != len(src.counters) || len(p.btb) != len(src.btb) {
+		panic(fmt.Sprintf("bpred: CopyFrom %d-entry PHT/%d-entry BTB into %d/%d",
+			len(src.counters), len(src.btb), len(p.counters), len(p.btb)))
+	}
+	copy(p.counters, src.counters)
+	copy(p.btb, src.btb)
+	p.history, p.Lookups, p.Mispredict = src.history, src.Lookups, src.Mispredict
 }
 
 // Reset clears all state and statistics.

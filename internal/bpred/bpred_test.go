@@ -143,3 +143,49 @@ func TestZeroLookupsRate(t *testing.T) {
 		t.Fatal("rate on fresh predictor should be 0")
 	}
 }
+
+// TestCopyFromReplaysIdentically: after CopyFrom, the copy makes the same
+// predictions and mispredictions as its source on the same branch stream.
+func TestCopyFromReplaysIdentically(t *testing.T) {
+	r := rng.New(3)
+	branch := func() (pc uint64, taken bool, target uint64) {
+		pc = uint64(0x1000 + r.Intn(512)*4)
+		return pc, r.Bool(0.7), pc + uint64(r.Intn(4))*64
+	}
+	src := Default()
+	for i := 0; i < 20000; i++ {
+		pc, taken, target := branch()
+		src.Predict(pc)
+		src.Update(pc, taken, target)
+	}
+	dst := Default()
+	dst.Update(0x1000, true, 0x4000) // state the copy must overwrite
+	dst.CopyFrom(src)
+	for i := 0; i < 20000; i++ {
+		pc, taken, target := branch()
+		st, stg, sv := src.Predict(pc)
+		dt, dtg, dv := dst.Predict(pc)
+		if st != dt || stg != dtg || sv != dv {
+			t.Fatalf("branch %d at %#x: source predicts %v/%#x/%v, copy %v/%#x/%v", i, pc, st, stg, sv, dt, dtg, dv)
+		}
+		if sm, dm := src.Update(pc, taken, target), dst.Update(pc, taken, target); sm != dm {
+			t.Fatalf("branch %d at %#x: source mispredict=%v, copy %v", i, pc, sm, dm)
+		}
+	}
+	if dst.Lookups != src.Lookups || dst.Mispredict != src.Mispredict {
+		t.Fatalf("counters %d/%d, want %d/%d", dst.Lookups, dst.Mispredict, src.Lookups, src.Mispredict)
+	}
+}
+
+func TestCopyFromSizeMismatchPanics(t *testing.T) {
+	for name, src := range map[string]*Predictor{"pht": New(12, 12), "btb": New(13, 11)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s size mismatch did not panic", name)
+				}
+			}()
+			Default().CopyFrom(src)
+		}()
+	}
+}

@@ -118,6 +118,20 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(c.Accesses)
 }
 
+// CopyFrom makes c an exact copy of src — contents, LRU state and
+// statistics — so that every later access behaves as it would on src.
+// Both caches must have the same geometry; a mismatch is a programming
+// error and panics.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.sets != src.sets || c.ways != src.ways || c.lineShift != src.lineShift {
+		panic(fmt.Sprintf("cache: CopyFrom %dx%d/%dB into %dx%d/%dB",
+			src.sets, src.ways, 1<<src.lineShift, c.sets, c.ways, 1<<c.lineShift))
+	}
+	copy(c.tags, src.tags)
+	copy(c.stamp, src.stamp)
+	c.tick, c.Accesses, c.Misses = src.tick, src.Accesses, src.Misses
+}
+
 // Reset invalidates all lines and clears statistics.
 func (c *Cache) Reset() {
 	for i := range c.tags {
@@ -202,6 +216,15 @@ func (h *Hierarchy) WarmData(addr uint64) {
 	if !h.L1D.Access(addr) {
 		h.L2.Access(addr)
 	}
+}
+
+// CopyFrom copies the state of src's three caches into h's (see
+// Cache.CopyFrom; a geometry mismatch panics). The latencies stay h's
+// own: what the caches hold does not depend on them.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	h.L1I.CopyFrom(src.L1I)
+	h.L1D.CopyFrom(src.L1D)
+	h.L2.CopyFrom(src.L2)
 }
 
 // Reset clears all levels.

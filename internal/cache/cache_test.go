@@ -216,3 +216,84 @@ func TestQuickStatsMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCopyFromReplaysIdentically: after CopyFrom, the copy answers the
+// same access sequence with the same hits and misses as its source, and
+// the two stay independent.
+func TestCopyFromReplaysIdentically(t *testing.T) {
+	r := rng.New(7)
+	addr := func() uint64 { return uint64(r.Intn(4096)) * 16 } // 64 KB span over a 4 KB cache
+	src := NewCache(4, 4, 64)
+	for i := 0; i < 3000; i++ {
+		src.Access(addr())
+	}
+	dst := NewCache(4, 4, 64)
+	dst.Access(0x10) // state the copy must overwrite
+	dst.CopyFrom(src)
+	if dst.Accesses != src.Accesses || dst.Misses != src.Misses {
+		t.Fatalf("counters %d/%d, want %d/%d", dst.Accesses, dst.Misses, src.Accesses, src.Misses)
+	}
+	for i := 0; i < 3000; i++ {
+		a := addr()
+		if s, d := src.Access(a), dst.Access(a); s != d {
+			t.Fatalf("access %d (%#x): source hit=%v, copy hit=%v", i, a, s, d)
+		}
+	}
+	if dst.Accesses != src.Accesses || dst.Misses != src.Misses {
+		t.Fatalf("counters diverged: %d/%d vs %d/%d", dst.Accesses, dst.Misses, src.Accesses, src.Misses)
+	}
+}
+
+func TestHierarchyCopyFromReplaysIdentically(t *testing.T) {
+	newH := func() *Hierarchy { return NewHierarchy(4, 2, 64, 2, 32, 4, 12, 250) }
+	r := rng.New(8)
+	addr := func() uint64 { return uint64(r.Intn(1<<14)) * 8 }
+	src := newH()
+	for i := 0; i < 5000; i++ {
+		src.Data(addr())
+		src.Inst(addr())
+	}
+	dst := newH()
+	dst.CopyFrom(src)
+	for i := 0; i < 5000; i++ {
+		a, b := addr(), addr()
+		sl, slv := src.Data(a)
+		dl, dlv := dst.Data(a)
+		if sl != dl || slv != dlv {
+			t.Fatalf("data access %d (%#x): source %d/%v, copy %d/%v", i, a, sl, slv, dl, dlv)
+		}
+		sl, slv = src.Inst(b)
+		dl, dlv = dst.Inst(b)
+		if sl != dl || slv != dlv {
+			t.Fatalf("inst access %d (%#x): source %d/%v, copy %d/%v", i, b, sl, slv, dl, dlv)
+		}
+	}
+	for _, c := range [][2]*Cache{{src.L1I, dst.L1I}, {src.L1D, dst.L1D}, {src.L2, dst.L2}} {
+		if c[0].Accesses != c[1].Accesses || c[0].Misses != c[1].Misses {
+			t.Fatalf("counters diverged: %d/%d vs %d/%d", c[1].Accesses, c[1].Misses, c[0].Accesses, c[0].Misses)
+		}
+	}
+}
+
+func TestCopyFromGeometryMismatchPanics(t *testing.T) {
+	for name, pair := range map[string][2]*Cache{
+		"sets":  {NewCache(4, 4, 64), NewCache(8, 4, 64)},
+		"ways":  {NewCache(4, 4, 64), NewCache(8, 8, 64)},
+		"lines": {NewCache(4, 4, 64), NewCache(8, 4, 128)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s mismatch did not panic", name)
+				}
+			}()
+			pair[0].CopyFrom(pair[1])
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("hierarchy L2 mismatch did not panic")
+		}
+	}()
+	NewHierarchy(4, 2, 64, 2, 32, 4, 12, 250).CopyFrom(NewHierarchy(4, 2, 64, 2, 64, 4, 12, 250))
+}

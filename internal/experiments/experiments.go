@@ -19,8 +19,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
+	"repro/internal/pipeline"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -51,9 +53,11 @@ type Spec struct {
 	// Parallelism is the worker count for the matrix run: 0 = auto (one
 	// worker per CPU, capped at the cell count), 1 = the legacy serial
 	// path, n > 1 = at most n workers. Every cell builds its own
-	// simulator and owns its result slot, so the assembled Matrix — cell
-	// ordering included — is byte-identical at every setting; only
-	// wall-clock time and progress-line interleaving change.
+	// simulator and owns its result slot; the one thing cells share, their
+	// benchmark's read-only warm state, is the same whichever cell builds
+	// it. So the assembled Matrix — cell ordering included — is
+	// byte-identical at every setting; only wall-clock time and
+	// progress-line interleaving change.
 	Parallelism int
 }
 
@@ -135,6 +139,11 @@ func AllBenchmarks() []string {
 // completion order. The first cell-construction error cancels the
 // outstanding jobs and is returned after in-flight cells drain.
 //
+// A benchmark's variants differ only in back-end policy, so they warm
+// to the same architectural state: Run builds it once per benchmark and
+// every variant loads a copy (sim.Simulator.ShareWarmup), which leaves
+// each cell bit-identical to one that warms itself.
+//
 // Cancelling ctx aborts the matrix: pending cells are skipped, each
 // in-flight cell stops at its next sensor interval, and Run returns
 // ctx's error. A never-cancelled ctx leaves the output bit-identical to
@@ -157,6 +166,13 @@ func Run(ctx context.Context, spec Spec, w io.Writer) (*Matrix, error) {
 		return m, nil
 	}
 	m.Cells = make([]Cell, total)
+	var warms []sharedWarm // per benchmark; nil when there is nothing to share
+	if nv >= 2 {
+		warms = make([]sharedWarm, len(benches))
+		for i := range warms {
+			warms[i].left.Store(int32(nv))
+		}
+	}
 	prog := runner.NewProgress(w, total)
 	err := runner.Run(ctx, spec.Parallelism, total, func(i int) error {
 		b, v := benches[i/nv], spec.Variants[i%nv]
@@ -168,6 +184,9 @@ func Run(ctx context.Context, spec Spec, w io.Writer) (*Matrix, error) {
 			return fmt.Errorf("experiments: %s/%s: %w", b, v.Name, err)
 		}
 		s.WarmupInstructions = spec.Warmup
+		if warms != nil {
+			s.ShareWarmup(warms[i/nv].take(s))
+		}
 		r, err := s.RunCyclesContext(ctx, spec.Cycles)
 		if err != nil {
 			return fmt.Errorf("experiments: %s/%s: %w", b, v.Name, err)
@@ -180,6 +199,26 @@ func Run(ctx context.Context, spec Spec, w io.Writer) (*Matrix, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// sharedWarm is one benchmark's warm state, shared by its variants. The
+// first variant to start builds it and the others wait for it. left
+// counts the variants yet to take it; the last one drops the matrix's
+// reference, so the state is freed once every variant has installed it.
+type sharedWarm struct {
+	once sync.Once
+	ws   *pipeline.WarmState
+	left atomic.Int32
+}
+
+// take returns the benchmark's warm state, building it on s on first use.
+func (w *sharedWarm) take(s *sim.Simulator) *pipeline.WarmState {
+	w.once.Do(func() { w.ws = s.WarmState() })
+	ws := w.ws
+	if w.left.Add(-1) == 0 {
+		w.ws = nil
+	}
+	return ws
 }
 
 // ByID returns the named experiment's Spec — the registry the service

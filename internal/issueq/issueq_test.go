@@ -403,8 +403,8 @@ func TestBroadcastMatchFollowsOccupancy(t *testing.T) {
 		q.Dispatch(i) // physical 0-2: half 0
 	}
 	q.Dispatch(3)
-	q.Dispatch(4) // physical 4: half 1
-	q.Remove(3)   // leave a hole at physical 3 so halves hold 3 and 1
+	q.Dispatch(4)  // physical 4: half 1
+	q.Remove(3)    // leave a hole at physical 3 so halves hold 3 and 1
 	drainHalves(q) // discard dispatch energy
 	q.Broadcast(2)
 	e := 2 * power.TagBroadcastMatch

@@ -185,16 +185,16 @@ type coreState struct {
 	// intervals (see sim's interval-stepping seam).
 	stallRemaining int64
 
-	tasksRun              int
-	activeCycles          int64
-	stallCycles           int64
-	coolingStallEvents    uint64
-	committed             uint64 // finished work only; in-flight added at the end
-	tempSum               float64
-	tempPeak              float64
-	hotBlock              int // base-plan block index of the peak sample
-	lastPeak              float64
-	powerSum              float64 // watt-intervals, for avg power
+	tasksRun           int
+	activeCycles       int64
+	stallCycles        int64
+	coolingStallEvents uint64
+	committed          uint64 // finished work only; in-flight added at the end
+	tempSum            float64
+	tempPeak           float64
+	hotBlock           int // base-plan block index of the peak sample
+	lastPeak           float64
+	powerSum           float64 // watt-intervals, for avg power
 }
 
 // System is one multicore run in progress: the shared die, the shared

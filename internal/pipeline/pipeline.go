@@ -178,11 +178,10 @@ func New(cfg *config.Config, plan *floorplan.Plan, meter *power.Meter, gen *trac
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	p := &Pipeline{
-		cfg:   cfg,
-		gen:   gen,
-		meter: meter,
-		mem: cache.NewHierarchy(cfg.L1SizeKB, cfg.L1Assoc, cfg.L1LineB, cfg.L1Latency,
-			cfg.L2SizeKB, cfg.L2Assoc, cfg.L2Latency, cfg.MemLatency),
+		cfg:       cfg,
+		gen:       gen,
+		meter:     meter,
+		mem:       newHierarchy(cfg),
 		bp:        bpred.Default(),
 		intQ:      issueq.New(cfg.IQEntries, cfg.IssueWidth, cfg.IssueDrainCycles, cfg.ActiveList),
 		fpQ:       issueq.New(cfg.IQEntries, cfg.IssueWidth, cfg.IssueDrainCycles, cfg.ActiveList),
@@ -309,7 +308,7 @@ func New(cfg *config.Config, plan *floorplan.Plan, meter *power.Meter, gen *trac
 		p.fpQ.SetNonCompacting(true)
 	}
 	p.curLine = ^uint64(0)
-	p.lineShift = uint(bits.TrailingZeros64(uint64(cfg.L1LineB)))
+	p.lineShift = lineShift(cfg)
 	p.issueWidth, p.commitWidth, p.fetchWidth = cfg.IssueWidth, cfg.CommitWidth, cfg.FetchWidth
 	return p, nil
 }
@@ -352,40 +351,6 @@ func (p *Pipeline) SetFetchLimit(n uint64) { p.maxFetched = n }
 
 // SetFetchEnabled pauses or resumes fetch (drain support).
 func (p *Pipeline) SetFetchEnabled(on bool) { p.fetchOff = !on }
-
-// Warmup primes the caches and branch predictor with the first n
-// instructions of the profile's stream, architecturally only (no cycles,
-// no energy), mirroring the paper's L2 warmup during SimPoint
-// fast-forward. It uses a fresh generator so the measured run still begins
-// at instruction zero.
-func (p *Pipeline) Warmup(n int) {
-	g := trace.NewGenerator(p.gen.Profile())
-	line := ^uint64(0)
-	for i := 0; i < n; i++ {
-		in := g.Next()
-		if l := in.PC >> p.lineShift; l != line {
-			line = l
-			p.mem.Inst(in.PC)
-		}
-		switch {
-		case in.Op.IsMem():
-			// Streaming (cold) addresses are compulsory misses by
-			// construction; warming them would replay the measured run's
-			// stream as hits.
-			if in.Addr < trace.ColdBase {
-				p.mem.WarmData(in.Addr)
-			}
-		case in.Op.IsBranch():
-			p.bp.Predict(in.PC)
-			p.bp.Update(in.PC, in.Taken, in.Target)
-		}
-	}
-	// Warmup statistics would pollute measurement; clear them.
-	p.mem.L1I.Accesses, p.mem.L1I.Misses = 0, 0
-	p.mem.L1D.Accesses, p.mem.L1D.Misses = 0, 0
-	p.mem.L2.Accesses, p.mem.L2.Misses = 0, 0
-	p.bp.Lookups, p.bp.Mispredict = 0, 0
-}
 
 // Cycle advances the core by one active cycle.
 func (p *Pipeline) Cycle() {

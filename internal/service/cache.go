@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/multicore"
 	"repro/internal/sim"
 )
 
@@ -320,9 +321,16 @@ func (c *Cache) diskPut(key string, data []byte) {
 	record(nil)
 }
 
-// validResult reports whether data parses as a result JSON document
-// with consistent block/temperature vectors.
+// validResult reports whether data is a result document the engine
+// writes: a cell result with consistent block/temperature vectors (tried
+// first, since nearly every entry is one), or a multicore result with one
+// per-core entry per core. The two shapes cannot pass for each other: a
+// cell's avg_temp_k is a vector, a multicore run's a scalar.
 func validResult(data []byte) bool {
 	var r sim.Result
-	return json.Unmarshal(data, &r) == nil
+	if json.Unmarshal(data, &r) == nil {
+		return true
+	}
+	var mc multicore.Result
+	return json.Unmarshal(data, &mc) == nil && mc.Cores > 0 && len(mc.PerCore) == mc.Cores
 }

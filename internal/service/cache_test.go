@@ -134,6 +134,45 @@ func TestCacheCorruptDiskEntryIsMiss(t *testing.T) {
 	}
 }
 
+// TestCacheEnvelopedInvalidResultIsMiss: an entry whose checksum holds
+// but whose payload is no result the engine writes — a cell result with
+// inconsistent vectors, a multicore result missing a core — is removed
+// and counted corrupt, like a torn one.
+func TestCacheEnvelopedInvalidResultIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(10)
+	p := filepath.Join(dir, key[:2], key+".json")
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{
+		`{"blocks":["A"],"avg_temp_k":[],"peak_temp_k":[]}`,
+		`{"cores":2,"avg_temp_k":300,"per_core":[{"core":0}]}`,
+		`{"cores":0,"avg_temp_k":300}`,
+	} {
+		blob, err := encodeEnvelope([]byte(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(key); ok {
+			t.Fatalf("invalid result %s served as a hit", bad)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("invalid result %s not removed: %v", bad, err)
+		}
+	}
+	if st := c.Stats(); st.Corrupt != 3 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want 3 corrupt, 0 hits", st)
+	}
+}
+
 // TestCacheConcurrentAccess exercises the cache from many goroutines;
 // the -race CI job runs this.
 func TestCacheConcurrentAccess(t *testing.T) {

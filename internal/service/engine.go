@@ -253,18 +253,18 @@ type EngineConfig struct {
 
 // Metrics is the engine's counter snapshot, served at /metrics.
 type Metrics struct {
-	UptimeSeconds   float64        `json:"uptime_seconds"`
-	JobsQueued      int            `json:"jobs_queued"`
-	JobsRunning     int            `json:"jobs_running"`
-	JobsCompleted   uint64         `json:"jobs_completed"`
-	JobsFailed      uint64         `json:"jobs_failed"`
-	JobsDeduped     uint64         `json:"jobs_deduped"`
-	JobsRetried     uint64         `json:"jobs_retried"`
-	JobPanics       uint64         `json:"job_panics"`
-	JobsQuarantined uint64         `json:"jobs_quarantined"`
-	JobsStolen      uint64         `json:"jobs_stolen"`
-	JournalErrors   uint64         `json:"journal_errors"`
-	Ready           bool           `json:"ready"`
+	UptimeSeconds   float64 `json:"uptime_seconds"`
+	JobsQueued      int     `json:"jobs_queued"`
+	JobsRunning     int     `json:"jobs_running"`
+	JobsCompleted   uint64  `json:"jobs_completed"`
+	JobsFailed      uint64  `json:"jobs_failed"`
+	JobsDeduped     uint64  `json:"jobs_deduped"`
+	JobsRetried     uint64  `json:"jobs_retried"`
+	JobPanics       uint64  `json:"job_panics"`
+	JobsQuarantined uint64  `json:"jobs_quarantined"`
+	JobsStolen      uint64  `json:"jobs_stolen"`
+	JournalErrors   uint64  `json:"journal_errors"`
+	Ready           bool    `json:"ready"`
 
 	// Overload-protection counters and gauges (see DESIGN.md,
 	// "Overload and degraded modes").
@@ -280,12 +280,12 @@ type Metrics struct {
 	JournalBreaker      BreakerSnapshot `json:"journal_breaker"`
 	Health              HealthMetrics   `json:"health"`
 
-	CacheHits       uint64         `json:"cache_hits"`
-	CacheMisses     uint64         `json:"cache_misses"`
-	CacheEntries    int            `json:"cache_entries"`
-	CellsPerSecond  float64        `json:"cells_per_second"`
-	Cache           CacheStats     `json:"cache"`
-	Shards          []ShardMetrics `json:"shards"`
+	CacheHits      uint64         `json:"cache_hits"`
+	CacheMisses    uint64         `json:"cache_misses"`
+	CacheEntries   int            `json:"cache_entries"`
+	CellsPerSecond float64        `json:"cells_per_second"`
+	Cache          CacheStats     `json:"cache"`
+	Shards         []ShardMetrics `json:"shards"`
 
 	// Runtime is the Go runtime health section: memory, GC, and
 	// goroutine gauges for the serving process.
@@ -1632,11 +1632,11 @@ func (e *Engine) Metrics() Metrics {
 		CacheBreaker:      e.cbrk.Snapshot(),
 		JournalBreaker:    e.jbrk.Snapshot(),
 		Health:            e.healthMetrics(),
-		CacheHits:     cs.Hits,
-		CacheMisses:   cs.Misses,
-		CacheEntries:  cs.Entries,
-		Cache:         cs,
-		Shards:        make([]ShardMetrics, len(e.shards)),
+		CacheHits:         cs.Hits,
+		CacheMisses:       cs.Misses,
+		CacheEntries:      cs.Entries,
+		Cache:             cs,
+		Shards:            make([]ShardMetrics, len(e.shards)),
 		Runtime: RuntimeMetrics{
 			Goroutines:      runtime.NumGoroutine(),
 			NumCPU:          runtime.NumCPU(),
@@ -1874,11 +1874,11 @@ type Statusz struct {
 	DefaultDeadlineMS int64   `json:"default_deadline_ms,omitempty"`
 	WatchdogMS        int64   `json:"watchdog_ms,omitempty"`
 
-	JobsShedExpired     uint64 `json:"jobs_shed_expired"`
-	JobsShedAdmission   uint64 `json:"jobs_shed_admission"`
-	JobsClientAbandoned uint64 `json:"jobs_client_abandoned"`
-	JobsWatchdogFired   uint64 `json:"jobs_watchdog_fired"`
-	JournalSkipped      uint64 `json:"journal_skipped"`
+	JobsShedExpired     uint64  `json:"jobs_shed_expired"`
+	JobsShedAdmission   uint64  `json:"jobs_shed_admission"`
+	JobsClientAbandoned uint64  `json:"jobs_client_abandoned"`
+	JobsWatchdogFired   uint64  `json:"jobs_watchdog_fired"`
+	JournalSkipped      uint64  `json:"journal_skipped"`
 	UptimeSeconds       float64 `json:"uptime_seconds"`
 }
 

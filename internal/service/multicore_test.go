@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -155,5 +157,41 @@ func TestServerMulticoreLifecycle(t *testing.T) {
 		if p < m.Multicore.CoreAvgTempK[i] {
 			t.Errorf("core %d peak %f below its average %f", i, p, m.Multicore.CoreAvgTempK[i])
 		}
+	}
+}
+
+// TestCacheMulticoreDiskHit: a real multicore result read back through a
+// fresh cache on the same directory — as after an LRU eviction or a
+// restart — is a disk hit with its exact bytes, not a corrupt entry.
+func TestCacheMulticoreDiskHit(t *testing.T) {
+	r, err := multicore.Run(context.Background(), *mcParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := Request{Multicore: mcParams()}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := NewCache(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Put(key, data)
+
+	c, err := NewCache(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.Get(key)
+	if !ok || !bytes.Equal(got, data) {
+		t.Fatalf("multicore entry not served from disk (hit=%v)", ok)
+	}
+	if st := c.Stats(); st.DiskHits != 1 || st.Corrupt != 0 {
+		t.Errorf("stats = %+v, want 1 disk hit, 0 corrupt", st)
 	}
 }

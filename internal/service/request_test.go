@@ -45,9 +45,9 @@ func TestRequestCanonicalFastPath(t *testing.T) {
 		}
 	}
 	reqs = append(reqs,
-		Request{Benchmark: "eon"},                          // all defaults
-		Request{Benchmark: "eon", Cycles: -5, Warmup: -1},  // normalized up
-		Request{Multicore: &multicore.Params{Cores: 4}},    // multicore shape: fallback
+		Request{Benchmark: "eon"},                         // all defaults
+		Request{Benchmark: "eon", Cycles: -5, Warmup: -1}, // normalized up
+		Request{Multicore: &multicore.Params{Cores: 4}},   // multicore shape: fallback
 	)
 
 	for _, r := range reqs {

@@ -3,9 +3,10 @@ package sim
 // Interval-stepping seam: the multicore layer (internal/multicore) maps N
 // machines onto one shared floorplan and one shared thermal network, so
 // it owns the thermal integration loop that run() owns in the single-core
-// case. These methods expose run()'s building blocks — warmup, one sensor
+// case. These methods expose run()'s building blocks — one sensor
 // interval of execution or stall, external-temperature sensing + DTM, and
-// the result snapshot — without changing the single-core protocol.
+// the result snapshot — without changing the single-core protocol; the
+// warmup is WarmupArch, which run() itself calls.
 //
 // Contract: each StepInterval covers exactly SensorIntervalCycles of
 // wall-clock time whether the core executes or stalls, so lockstep
@@ -15,17 +16,6 @@ package sim
 // exactly; at the default configuration that rounds a 32.8-interval stall
 // to 33). The DVFS divided clock is not supported through this seam —
 // a divided interval would break the uniform-wall-time contract.
-
-// WarmupArch runs the architectural warmup (caches and branch predictor)
-// exactly as run() does. It consumes no simulated wall-clock cycles and
-// leaves the measurement counters clean.
-func (s *Simulator) WarmupArch() {
-	warm := s.WarmupInstructions
-	if warm <= 0 {
-		warm = DefaultWarmup
-	}
-	s.Pipe.Warmup(warm)
-}
 
 // StepInterval advances the machine one sensor interval and returns the
 // drained per-block power vector (watts; the slice is reused by the next

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -129,4 +130,51 @@ func TestSeamDeterministic(t *testing.T) {
 	if ra.Committed != rb.Committed || ra.Cycles != rb.Cycles || ra.IPC != rb.IPC {
 		t.Fatalf("seam runs diverged: %+v vs %+v", ra, rb)
 	}
+}
+
+// TestShareWarmupBitIdentical: a simulator that installs a warm state
+// built by another simulator of the same profile — here on a different
+// floorplan with different techniques — runs bit-identical to one that
+// replays its own warmup, and lets go of the state once installed.
+func TestShareWarmupBitIdentical(t *testing.T) {
+	mk := func(mod func(*config.Config)) *Simulator {
+		cfg := config.Default()
+		cfg.Plan = config.PlanALUConstrained
+		cfg.Techniques.ALU = config.ALUFineGrain
+		if mod != nil {
+			mod(cfg)
+		}
+		s, err := NewByName(cfg, "eon")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.WarmupInstructions = 40_000
+		return s
+	}
+	donor := mk(func(cfg *config.Config) {
+		cfg.Plan = config.PlanRFConstrained
+		cfg.Techniques = config.Techniques{RFMap: config.MapBalanced, RFTurnoff: true}
+	})
+	shared := mk(nil)
+	shared.ShareWarmup(donor.WarmState())
+	got := shared.RunCycles(80_000)
+	if shared.warm != nil {
+		t.Error("simulator kept the shared warm state after installing it")
+	}
+	if want := mk(nil).RunCycles(80_000); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shared-warmup run diverged:\n got %v\nwant %v", got, want)
+	}
+}
+
+func TestShareWarmupLengthMismatchPanics(t *testing.T) {
+	s := seamSim(t)
+	other := seamSim(t)
+	other.WarmupInstructions++
+	s.ShareWarmup(other.WarmState())
+	defer func() {
+		if recover() == nil {
+			t.Error("warm state of the wrong length installed without a panic")
+		}
+	}()
+	s.WarmupArch()
 }

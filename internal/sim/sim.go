@@ -35,6 +35,7 @@ type Simulator struct {
 	Mgr   *core.Manager
 
 	prof trace.Profile
+	warm *pipeline.WarmState // attached by ShareWarmup until WarmupArch installs it
 
 	// WarmupInstructions overrides DefaultWarmup when positive; tests use
 	// small values to stay fast.
@@ -184,6 +185,49 @@ func (r *Result) String() string {
 // DefaultWarmup is the architectural warmup length in instructions.
 const DefaultWarmup = 3_000_000
 
+// warmupLen is the architectural warmup length in instructions.
+func (s *Simulator) warmupLen() int {
+	if s.WarmupInstructions > 0 {
+		return s.WarmupInstructions
+	}
+	return DefaultWarmup
+}
+
+// WarmupArch runs the architectural warmup (caches and branch
+// predictor): it installs the state attached by ShareWarmup when there
+// is one, and otherwise replays the warmup. Either way it consumes no
+// simulated wall-clock cycles and leaves the measurement counters clean.
+// run() calls it first; the multicore layer calls it directly.
+func (s *Simulator) WarmupArch() {
+	n := s.warmupLen()
+	ws := s.warm
+	if ws == nil {
+		s.Pipe.Warmup(n)
+		return
+	}
+	s.warm = nil
+	if ws.Instructions() != n {
+		panic(fmt.Sprintf("sim: shared warm state of %d instructions for a %d-instruction warmup", ws.Instructions(), n))
+	}
+	s.Pipe.LoadWarm(ws)
+}
+
+// WarmState builds the architectural state this simulator's warmup
+// leaves, on caches and a predictor of its own. Every simulator of the
+// same profile, warmup length and cache geometry warms to that same
+// state, whatever its techniques and floorplan, so one WarmState can
+// serve all of them through ShareWarmup.
+func (s *Simulator) WarmState() *pipeline.WarmState {
+	return pipeline.NewWarmState(s.Cfg, s.prof, s.warmupLen())
+}
+
+// ShareWarmup attaches ws for the next WarmupArch to install instead of
+// replaying the warmup; the run is bit-identical to one that warms
+// itself. ws must match the simulator's profile, warmup length and cache
+// geometry (WarmupArch panics otherwise). The simulator lets go of ws
+// once it is installed.
+func (s *Simulator) ShareWarmup(ws *pipeline.WarmState) { s.warm = ws }
+
 // thermalWarmIntervals is the number of sensor intervals executed before
 // the thermal warm start, to measure representative power.
 const thermalWarmIntervals = 4
@@ -220,11 +264,7 @@ func (s *Simulator) RunCyclesContext(ctx context.Context, cycles int64) (*Result
 }
 
 func (s *Simulator) run(more func() bool) *Result {
-	warm := s.WarmupInstructions
-	if warm <= 0 {
-		warm = DefaultWarmup
-	}
-	s.Pipe.Warmup(warm)
+	s.WarmupArch()
 
 	interval := s.Cfg.SensorIntervalCycles
 	secPerCycle := s.Cfg.ThermalSecondsPerCycle()
