@@ -23,7 +23,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/thermal"
 	"repro/internal/trace"
 )
 
@@ -377,86 +376,6 @@ func BenchmarkSimInterval(b *testing.B) {
 	}
 }
 
-// thermalBenchPlans are the floorplan-scaling points for the thermal
-// benchmarks: the paper plan (~26 blocks, dense path) plus meshes at
-// N=30/300/3000 blocks. Above thermal.DenseMaxNodes the auto solver
-// switches to the sparse CSR/CG path.
-func thermalBenchPlans() []struct {
-	name string
-	plan *floorplan.Plan
-} {
-	return []struct {
-		name string
-		plan *floorplan.Plan
-	}{
-		{"paper", floorplan.Build(config.PlanIQConstrained)},
-		{"N=30", floorplan.Mesh(5, 6)},
-		{"N=300", floorplan.Mesh(15, 20)},
-		{"N=3000", floorplan.Mesh(50, 60)},
-	}
-}
-
-// BenchmarkThermalAdvance measures one sensor-interval thermal update at
-// each floorplan scale; the per-op cost is the CSR (or dense) Euler
-// substeps for ~0.3 ms of thermal time. Steady state must stay
-// allocation-free on every path — the integration scratch lives on the
-// model.
-func BenchmarkThermalAdvance(b *testing.B) {
-	cfg := config.Default()
-	dt := float64(cfg.SensorIntervalCycles) * cfg.ThermalSecondsPerCycle()
-	for _, tp := range thermalBenchPlans() {
-		b.Run(tp.name, func(b *testing.B) {
-			th, err := thermal.New(tp.plan, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pow := make([]float64, tp.plan.NumBlocks())
-			for i := range pow {
-				pow[i] = 40.0 / float64(len(pow))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th.Advance(pow, dt)
-			}
-		})
-	}
-}
-
-// BenchmarkThermalSteadyState compares the steady-state solvers at each
-// floorplan scale: solver=sparse is the CSR conjugate-gradient path,
-// solver=dense the Gaussian-elimination reference (via the any-size
-// SteadyStateDense entry point). At N=3000 the O(n³) dense solve takes
-// seconds while CG finishes in milliseconds — the ≥10× separation this
-// PR's acceptance demands.
-func BenchmarkThermalSteadyState(b *testing.B) {
-	cfg := config.Default()
-	cfg.ThermalSolver = config.ThermalSparse // CG at every size; dense via the reference entry point
-	for _, tp := range thermalBenchPlans() {
-		if tp.name == "paper" {
-			continue // the paper plan is covered by BenchmarkSteadyState
-		}
-		th, err := thermal.New(tp.plan, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pow := make([]float64, tp.plan.NumBlocks())
-		for i := range pow {
-			pow[i] = 40.0 / float64(len(pow))
-		}
-		b.Run(tp.name+"/solver=sparse", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				th.SteadyState(pow)
-			}
-		})
-		b.Run(tp.name+"/solver=dense", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				th.SteadyStateDense(pow)
-			}
-		})
-	}
-}
-
 // BenchmarkMulticoreInterval measures one lockstep multi-core interval —
 // every core's 10k pipeline cycles, the shared-die thermal solve, and
 // the scheduler/DTM bookkeeping — at 1/2/4/8 cores on the tiled plan.
@@ -520,25 +439,6 @@ func BenchmarkGenerator(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()
-	}
-}
-
-// BenchmarkSteadyState measures the dense thermal steady-state solve on
-// the paper floorplan (the path every fig6 run warm-starts through).
-func BenchmarkSteadyState(b *testing.B) {
-	cfg := config.Default()
-	plan := floorplan.Build(cfg.Plan)
-	th, err := thermal.New(plan, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pow := make([]float64, plan.NumBlocks())
-	for i := range pow {
-		pow[i] = 1.0
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th.SteadyState(pow)
 	}
 }
 

@@ -92,10 +92,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		th, err := thermal.New(plan, pcfg)
-		if err != nil {
-			return err
-		}
+		th := thermal.New(plan, pcfg)
 		p.Warmup(*warmup)
 		for c := 0; c < *cycles; c++ {
 			p.Cycle()

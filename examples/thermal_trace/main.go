@@ -40,10 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	th, err := thermal.New(plan, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	th := thermal.New(plan, cfg)
 	mgr := core.New(cfg, plan, pipe, th)
 
 	pipe.Warmup(3_000_000)

@@ -143,36 +143,6 @@ func (p TemporalPolicy) String() string {
 	return fmt.Sprintf("TemporalPolicy(%d)", uint8(p))
 }
 
-// ThermalSolver selects the linear-algebra backend for the RC thermal
-// network (internal/thermal).
-type ThermalSolver uint8
-
-const (
-	// ThermalAuto picks the dense solver for small networks (at most
-	// thermal.DenseMaxNodes nodes, which covers every paper floorplan) and
-	// the sparse solver above that. This is the default.
-	ThermalAuto ThermalSolver = iota
-	// ThermalDense forces the dense Gaussian solver and fixed-buffer
-	// integrator — the executable reference. Building a model beyond the
-	// dense node cap fails with an error.
-	ThermalDense
-	// ThermalSparse forces the CSR + conjugate-gradient solver, which has
-	// no node cap.
-	ThermalSparse
-)
-
-func (s ThermalSolver) String() string {
-	switch s {
-	case ThermalAuto:
-		return "auto"
-	case ThermalDense:
-		return "dense"
-	case ThermalSparse:
-		return "sparse"
-	}
-	return fmt.Sprintf("ThermalSolver(%d)", uint8(s))
-}
-
 // Scheduler selects the multicore task-to-core scheduling policy
 // (internal/multicore). The single-core paper pipeline never consults it.
 type Scheduler uint8
@@ -334,12 +304,6 @@ type Config struct {
 	// quantifies the techniques' robustness to it. Zero disables noise.
 	SensorNoiseK float64
 
-	// ThermalSolver selects the thermal network's linear-algebra backend.
-	// The zero value (ThermalAuto) keeps the paper's floorplans on the
-	// dense reference solver and switches large synthetic floorplans
-	// (meshes, multi-core plans) to the sparse solver automatically.
-	ThermalSolver ThermalSolver
-
 	// ThermalAccel compresses the thermal time axis: each simulated cycle
 	// advances thermal time by ThermalAccel cycles. The paper runs 500 M
 	// instructions (~120 ms) per benchmark; acceleration lets runs of a
@@ -452,8 +416,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: %d L1 ports", c.L1Ports)
 	case c.Techniques.Temporal == TemporalDVFS && (c.DVFSDivider < 2 || c.DVFSVoltageScale <= 0 || c.DVFSVoltageScale > 1):
 		return fmt.Errorf("config: DVFS divider %d / voltage scale %v", c.DVFSDivider, c.DVFSVoltageScale)
-	case c.ThermalSolver > ThermalSparse:
-		return fmt.Errorf("config: unknown thermal solver %v", c.ThermalSolver)
 	}
 	return nil
 }

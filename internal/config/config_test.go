@@ -73,7 +73,6 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"bad accel", func(c *Config) { c.ThermalAccel = 0 }},
 		{"bad sensor", func(c *Config) { c.SensorIntervalCycles = 0 }},
 		{"no L1 ports", func(c *Config) { c.L1Ports = 0 }},
-		{"bad thermal solver", func(c *Config) { c.ThermalSolver = ThermalSolver(9) }},
 	}
 	for _, m := range mods {
 		c := Default()
@@ -130,11 +129,8 @@ func TestStringers(t *testing.T) {
 	if !strings.Contains(WriteMargin.String(), "margin") || !strings.Contains(WriteCopyOnCool.String(), "cool") {
 		t.Error("RFWritePolicy strings wrong")
 	}
-	if ThermalAuto.String() != "auto" || ThermalDense.String() != "dense" || ThermalSparse.String() != "sparse" {
-		t.Error("ThermalSolver strings wrong")
-	}
 	// Unknown values must not panic and must render something.
-	for _, s := range []string{IQPolicy(9).String(), ALUPolicy(9).String(), RFMapping(9).String(), FloorplanVariant(9).String(), RFWritePolicy(9).String(), ThermalSolver(9).String()} {
+	for _, s := range []string{IQPolicy(9).String(), ALUPolicy(9).String(), RFMapping(9).String(), FloorplanVariant(9).String(), RFWritePolicy(9).String()} {
 		if s == "" {
 			t.Error("empty string for out-of-range enum")
 		}

@@ -88,19 +88,6 @@ func (p *TemporalPolicy) UnmarshalText(b []byte) error {
 	return nil
 }
 
-func (s ThermalSolver) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
-func (s *ThermalSolver) UnmarshalText(b []byte) error {
-	v, err := parseEnum("thermal solver", string(b),
-		[]string{"auto", "dense", "sparse"},
-		[]ThermalSolver{ThermalAuto, ThermalDense, ThermalSparse})
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
-}
-
 func (s Scheduler) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 func (s *Scheduler) UnmarshalText(b []byte) error {

@@ -97,7 +97,6 @@ func TestEnumUnmarshalErrors(t *testing.T) {
 		{new(RFWritePolicy), "margins"},
 		{new(TemporalPolicy), "stopgo"},
 		{new(FloorplanVariant), "iq"},
-		{new(ThermalSolver), "csr"},
 		{new(Scheduler), "coolest"},
 	}
 	for _, c := range cases {
@@ -155,13 +154,6 @@ func TestEnumRoundTripAll(t *testing.T) {
 		b, _ := v.MarshalText()
 		if err := got.UnmarshalText(b); err != nil || got != v {
 			t.Errorf("FloorplanVariant %v: %v %v", v, got, err)
-		}
-	}
-	for _, v := range []ThermalSolver{ThermalAuto, ThermalDense, ThermalSparse} {
-		var got ThermalSolver
-		b, _ := v.MarshalText()
-		if err := got.UnmarshalText(b); err != nil || got != v {
-			t.Errorf("ThermalSolver %v: %v %v", v, got, err)
 		}
 	}
 	for _, v := range Schedulers() {

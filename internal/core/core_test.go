@@ -26,10 +26,7 @@ func rig(t *testing.T, mod func(*config.Config)) (*Manager, *thermal.Model, *pip
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := thermal.New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := thermal.New(plan, cfg)
 	mgr := New(cfg, plan, pipe, th)
 	return mgr, th, pipe, plan, cfg
 }

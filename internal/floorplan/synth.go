@@ -1,6 +1,7 @@
 // Synthetic floorplan generators. The paper's floorplans top out at ~26
-// blocks; the sparse thermal solver targets hundreds to thousands of
-// nodes (multi-core plans, per-cell banking sweeps, NoC-style meshes).
+// blocks; the thermal model's CSR graph and conjugate-gradient steady
+// state target hundreds to thousands of nodes (multi-core plans,
+// per-cell banking sweeps, NoC-style meshes).
 // These generators produce plans at any size so tests and benchmarks can
 // exercise that regime: regular meshes for predictable structure, and
 // seeded random guillotine partitions for irregular adjacency patterns.
@@ -17,8 +18,8 @@ func MeshCell(r, c int) string { return fmt.Sprintf("Cell%d_%d", r, c) }
 // width in both dimensions: every cell is DieWidth/cols wide and
 // DieWidth/rows tall, so the die stays the familiar square regardless of
 // the grid shape. Interior cells have four lateral neighbours, edges
-// three, corners two — the NoC-style topology the sparse solver is built
-// for.
+// three, corners two — the NoC-style topology the CSR thermal graph is
+// built for.
 func Mesh(rows, cols int) *Plan {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("floorplan: Mesh(%d, %d)", rows, cols))

@@ -259,10 +259,7 @@ func NewSystem(p Params) (*System, error) {
 	// a hot task's excursion over the background crosses the threshold.
 	sharedCfg := base.Clone()
 	sharedCfg.ConvectionRes = base.ConvectionRes / math.Sqrt(float64(p.Cores))
-	th, err := thermal.New(plan, sharedCfg)
-	if err != nil {
-		return nil, err
-	}
+	th := thermal.New(plan, sharedCfg)
 	sched, err := NewScheduler(p.Scheduler, p.Seed)
 	if err != nil {
 		return nil, err

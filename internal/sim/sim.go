@@ -67,10 +67,7 @@ func New(cfg *config.Config, prof trace.Profile) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	th, err := thermal.New(plan, cfg)
-	if err != nil {
-		return nil, err
-	}
+	th := thermal.New(plan, cfg)
 	mgr := core.New(cfg, plan, pipe, th)
 	return &Simulator{
 		Cfg:      cfg,

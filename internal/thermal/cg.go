@@ -1,45 +1,17 @@
-// Sparse solver backend: transient integration over the CSR adjacency
-// and a conjugate-gradient steady state. The conductance Laplacian
-// A = diag(gAmb_i + Σ_j g_ij) − G is symmetric positive definite (every
-// node reaches the ambient boundary through the sink), which makes CG
-// the natural steady-state solver: O(iterations × nnz) instead of the
-// dense O(n³) elimination, with nnz ≈ 5n on mesh floorplans.
-//
-// All scratch lives on the Model (transient) or in cgScratch (steady
-// state, lazily sized), so steady-state loops and the per-interval
-// Advance path allocate nothing after warmup.
-package thermal
+// Conjugate-gradient steady state for networks above gaussMaxNodes.
+// The conductance Laplacian A = diag(gAmb_i + Σ_j g_ij) − G is symmetric
+// positive definite (every node reaches the ambient boundary through the
+// sink), which makes CG the natural solver: O(iterations × nnz) instead
+// of elimination's O(n³), with nnz ≈ 5n on mesh floorplans. Its scratch
+// is sized lazily and reused, so repeated solves allocate nothing.
 
-// stepSparse is the CSR Euler substep. It visits each row's nonzeros in
-// ascending column order — the same terms in the same order as the dense
-// reference step — so the two integrators agree bit for bit, which the
-// differential suite pins down.
-func (m *Model) stepSparse(power []float64, dt float64) {
-	d := m.dT
-	for i := 0; i < m.nTotal; i++ {
-		flow := 0.0
-		ti := m.t[i]
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			flow += m.gval[k] * (m.t[m.colIdx[k]] - ti)
-		}
-		if m.gAmb[i] != 0 {
-			flow += m.gAmb[i] * (m.ambient - ti)
-		}
-		if i < m.n {
-			flow += power[i]
-		}
-		d[i] = dt / m.c[i] * flow
-	}
-	for i := 0; i < m.nTotal; i++ {
-		m.t[i] += d[i]
-	}
-}
+package thermal
 
 // cgTolerance is the relative convergence target: CG stops once the
 // Jacobi-preconditioned residual norm falls below this fraction of the
 // preconditioned right-hand-side norm. 1e-14 leaves steady-state
-// temperatures within the differential suite's 1e-9 K of the Gaussian
-// reference at every size the dense solver can check.
+// temperatures within the differential suite's 1e-9 K of Gaussian
+// elimination at every size the suite checks.
 const cgTolerance = 1e-14
 
 // cgIterFactor caps iterations at cgIterFactor × nodes. Exact-arithmetic
@@ -86,11 +58,13 @@ func (m *Model) applyA(x, dst []float64) {
 }
 
 // solveCG solves A·x = b for the steady state under the given per-block
-// power, leaving the full node solution (blocks, spreader, sink) in x.
-// Callers must have sized the scratch via m.cg.ensure(m.nTotal).
-func (m *Model) solveCG(power []float64, x []float64) {
+// power and returns the full node solution (blocks, spreader, sink),
+// which aliases the CG scratch.
+func (m *Model) solveCG(power []float64) []float64 {
 	s := &m.cg
 	nt := m.nTotal
+	s.ensure(nt)
+	x := s.x
 
 	// Right-hand side and Jacobi diagonal.
 	for i := 0; i < nt; i++ {
@@ -151,4 +125,5 @@ func (m *Model) solveCG(power []float64, x []float64) {
 			s.p[i] = s.z[i] + beta*s.p[i]
 		}
 	}
+	return x
 }

@@ -1,18 +1,21 @@
-// Differential suite: the dense Gaussian/fixed-buffer solver is the
-// executable specification, and every behaviour of the sparse CSR/CG
-// solver is held against it in lockstep — transient Advance sequences,
-// steady states, warm starts, and the integration-contract telemetry
-// (AdvanceCalls, MaxStableStep). Plans come from the paper floorplans,
-// synthetic meshes, and seeded random guillotine plans, all within the
-// dense solver's node cap so the reference can actually run.
+// Differential suite. The transient has one implementation, the CSR
+// Euler step, and it is held bit for bit against the historical dense
+// loop over every node pair (denseOracle), on every node — spreader and
+// sink included — together with the integration-contract telemetry
+// (AdvanceCalls, MaxStableStep). Steady states and warm starts are held
+// against Gaussian elimination: bitwise up to 64 nodes, where the size
+// rule picks elimination, within diffTol above, where it picks
+// conjugate gradient, and CG itself stays within diffTol of
+// elimination at every size. Plans come from the paper floorplans, a
+// two-core tiled die, synthetic meshes, and seeded random guillotine
+// plans on both sides of gaussMaxNodes.
 //
-// The file also carries the solver-generic property tests (conductance
-// symmetry, zero-power relaxation, steady-state energy balance,
-// monotonicity in power), run against both backends.
+// The file also carries the property tests (conductance symmetry,
+// zero-power relaxation, steady-state energy balance, monotonicity in
+// power), run against both steady-state solvers.
 package thermal
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -20,36 +23,22 @@ import (
 	"repro/internal/floorplan"
 )
 
-// diffPlans are the floorplans the lockstep suite runs over: every paper
-// variant plus synthetic plans up to the dense cap.
+// diffPlans are the floorplans the differential suite runs over: every
+// paper variant, the two-core die, and synthetic plans up to just past
+// gaussMaxNodes.
 func diffPlans() map[string]*floorplan.Plan {
 	return map[string]*floorplan.Plan{
 		"paper-iq":  floorplan.Build(config.PlanIQConstrained),
 		"paper-alu": floorplan.Build(config.PlanALUConstrained),
 		"paper-rf":  floorplan.Build(config.PlanRFConstrained),
+		"tile-1x2":  floorplan.Tile(floorplan.Build(config.PlanIQConstrained), 1, 2), // 54 nodes
 		"mesh-4x4":  floorplan.Mesh(4, 4),
-		"mesh-7x8":  floorplan.Mesh(7, 8), // 56 blocks: just under the dense cap
+		"mesh-7x8":  floorplan.Mesh(7, 8),
 		"rand-20":   floorplan.Random(20, 0xfeed),
 		"rand-45":   floorplan.Random(45, 0xbeef),
-		"rand-62":   floorplan.Random(62, 0xcafe), // 64 nodes: exactly at the cap
+		"rand-62":   floorplan.Random(62, 0xcafe), // 64 nodes: the largest elimination network
+		"rand-63":   floorplan.Random(63, 0xcafe), // 65 nodes: the smallest CG network
 	}
-}
-
-// densePair builds the same plan under both solvers.
-func densePair(t testing.TB, plan *floorplan.Plan) (dense, sparse *Model) {
-	t.Helper()
-	cfgD := config.Default()
-	cfgD.ThermalSolver = config.ThermalDense
-	cfgS := config.Default()
-	cfgS.ThermalSolver = config.ThermalSparse
-	var err error
-	if dense, err = New(plan, cfgD); err != nil {
-		t.Fatal(err)
-	}
-	if sparse, err = New(plan, cfgS); err != nil {
-		t.Fatal(err)
-	}
-	return dense, sparse
 }
 
 // lcg is a tiny deterministic generator for test power vectors.
@@ -70,154 +59,186 @@ func randomPower(rng *lcg, n int, maxW float64) []float64 {
 
 const diffTol = 1e-9
 
-// TestDenseCapReturnsError replaces the historical 64-node panic: the
-// dense path reports the cap as an error, auto falls over to sparse, and
-// sparse has no cap at all.
-func TestDenseCapReturnsError(t *testing.T) {
-	big := floorplan.Mesh(8, 8) // 64 blocks + spreader + sink = 66 nodes
-	cfg := config.Default()
-	cfg.ThermalSolver = config.ThermalDense
-	if _, err := New(big, cfg); err == nil {
-		t.Fatal("dense solver accepted a plan beyond its integration buffer")
+// denseOracle is the historical dense integrator, kept as the
+// transient's executable specification: a mirrored [][]float64
+// conductance matrix, an Euler substep that loops over every node pair
+// and skips zero conductances, and Advance's subdivision rule.
+type denseOracle struct {
+	g          [][]float64
+	gAmb, c, t []float64
+	n          int
+	ambient    float64
+	maxStable  float64
+}
+
+// newDenseOracle mirrors m's network and current state.
+func newDenseOracle(m *Model) *denseOracle {
+	nt := m.nTotal
+	o := &denseOracle{
+		g:       make([][]float64, nt),
+		gAmb:    append([]float64(nil), m.gAmb...),
+		c:       append([]float64(nil), m.c...),
+		t:       append([]float64(nil), m.t...),
+		n:       m.n,
+		ambient: m.ambient,
 	}
-	cfg.ThermalSolver = config.ThermalAuto
-	m, err := New(big, cfg)
-	if err != nil {
-		t.Fatalf("auto solver rejected a large plan: %v", err)
+	minTau := math.Inf(1)
+	for i := range o.g {
+		o.g[i] = make([]float64, nt)
+		sum := o.gAmb[i]
+		for j := range o.g[i] {
+			o.g[i][j] = m.conductance(i, j)
+			sum += o.g[i][j]
+		}
+		if sum > 0 {
+			minTau = math.Min(minTau, o.c[i]/sum)
+		}
 	}
-	if m.Solver() != config.ThermalSparse {
-		t.Fatalf("auto resolved to %v above the cap", m.Solver())
-	}
-	// Paper-size plans stay on the dense reference under auto.
-	small, err := New(floorplan.Build(config.PlanIQConstrained), config.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Solver() != config.ThermalDense {
-		t.Fatalf("auto resolved to %v at paper size", small.Solver())
-	}
-	// Unknown solver values fail closed.
-	cfg.ThermalSolver = config.ThermalSolver(99)
-	if _, err := New(big, cfg); err == nil {
-		t.Fatal("unknown solver accepted")
+	o.maxStable = minTau / 2
+	return o
+}
+
+func (o *denseOracle) advance(power []float64, seconds float64) {
+	steps := int(seconds/o.maxStable) + 1
+	dt := seconds / float64(steps)
+	d := make([]float64, len(o.t))
+	for s := 0; s < steps; s++ {
+		for i, gi := range o.g {
+			flow := 0.0
+			ti := o.t[i]
+			for j, gij := range gi {
+				if gij != 0 {
+					flow += gij * (o.t[j] - ti)
+				}
+			}
+			if o.gAmb[i] != 0 {
+				flow += o.gAmb[i] * (o.ambient - ti)
+			}
+			if i < o.n {
+				flow += power[i]
+			}
+			d[i] = dt / o.c[i] * flow
+		}
+		for i := range o.t {
+			o.t[i] += d[i]
+		}
 	}
 }
 
-// TestDiffTransientLockstep drives both solvers through the same
-// Advance sequence — varied powers, varied durations, including
-// sub-stability and many-substep calls — and requires temperatures
-// within diffTol at every checkpoint, plus exact AdvanceCalls and
-// MaxStableStep parity.
+// TestDiffTransientLockstep drives the model and the dense oracle
+// through the same Advance sequence — varied powers, varied durations,
+// including sub-stability and many-substep calls — and requires equal
+// bits on every node at every checkpoint, plus exact AdvanceCalls and
+// MaxStableStep.
 func TestDiffTransientLockstep(t *testing.T) {
+	const calls = 200
 	for name, plan := range diffPlans() {
 		t.Run(name, func(t *testing.T) {
-			dense, sparse := densePair(t, plan)
-			if d, s := dense.MaxStableStep(), sparse.MaxStableStep(); d != s {
-				t.Fatalf("MaxStableStep diverges: dense %v sparse %v", d, s)
+			m := New(plan, config.Default())
+			o := newDenseOracle(m)
+			if m.MaxStableStep() != o.maxStable {
+				t.Fatalf("MaxStableStep %v, dense oracle %v", m.MaxStableStep(), o.maxStable)
 			}
 			rng := lcg(0x5eed)
-			n := plan.NumBlocks()
-			for step := 0; step < 40; step++ {
-				pow := randomPower(&rng, n, 3.0)
+			for call := 0; call < calls; call++ {
+				pow := randomPower(&rng, plan.NumBlocks(), 3.0)
 				// Mix durations: fractions of the stable step through
 				// hundreds of substeps.
-				dur := dense.MaxStableStep() * math.Pow(10, 4*rng.next()-1)
-				dense.Advance(pow, dur)
-				sparse.Advance(pow, dur)
-				for i := 0; i < n; i++ {
-					if d := math.Abs(dense.Temp(i) - sparse.Temp(i)); d > diffTol {
-						t.Fatalf("step %d block %d: dense %.12f sparse %.12f (Δ %.3g)",
-							step, i, dense.Temp(i), sparse.Temp(i), d)
+				dur := o.maxStable * math.Pow(10, 4*rng.next()-1)
+				m.Advance(pow, dur)
+				o.advance(pow, dur)
+				for i, want := range o.t {
+					if m.t[i] != want {
+						t.Fatalf("call %d node %d: model %.17g dense oracle %.17g", call, i, m.t[i], want)
 					}
 				}
 			}
-			if dense.AdvanceCalls != sparse.AdvanceCalls {
-				t.Fatalf("AdvanceCalls diverge: %d vs %d", dense.AdvanceCalls, sparse.AdvanceCalls)
-			}
-			if dense.AdvanceCalls != 40 {
-				t.Fatalf("AdvanceCalls = %d, want 40", dense.AdvanceCalls)
+			if m.AdvanceCalls != calls {
+				t.Fatalf("AdvanceCalls = %d, want %d", m.AdvanceCalls, calls)
 			}
 		})
 	}
 }
 
-// TestDiffSteadyState holds CG against Gaussian elimination on random
-// power vectors, and checks SteadyStateDense matches the dense solver's
-// own SteadyState exactly (same algorithm, any-size entry point).
+// requireSteady compares a full node solution against Gaussian
+// elimination: bitwise up to 64 nodes, within diffTol above. The literal
+// is the contract rather than gaussMaxNodes itself: the paper plans and
+// the two-core die must stay on elimination, whose bits the result pins
+// and benchmark digests depend on.
+func requireSteady(t *testing.T, m *Model, what string, got, gauss []float64) {
+	t.Helper()
+	for i := range got {
+		if m.nTotal <= 64 {
+			if got[i] != gauss[i] {
+				t.Fatalf("%s node %d: %.17g, elimination %.17g (%d nodes must match bitwise)",
+					what, i, got[i], gauss[i], m.nTotal)
+			}
+		} else if d := math.Abs(got[i] - gauss[i]); d > diffTol {
+			t.Fatalf("%s node %d: %.12f, elimination %.12f (Δ %.3g)", what, i, got[i], gauss[i], d)
+		}
+	}
+}
+
+// TestDiffSteadyState holds SteadyState to Gaussian elimination on
+// random power vectors, and CG — called directly — within diffTol of
+// elimination at every size.
 func TestDiffSteadyState(t *testing.T) {
 	for name, plan := range diffPlans() {
 		t.Run(name, func(t *testing.T) {
-			dense, sparse := densePair(t, plan)
+			m := New(plan, config.Default())
 			rng := lcg(0xabcde)
-			n := plan.NumBlocks()
 			for trial := 0; trial < 10; trial++ {
-				pow := randomPower(&rng, n, 4.0)
-				want := dense.SteadyState(pow)
-				got := sparse.SteadyState(pow)
-				for i := range want {
-					if d := math.Abs(want[i] - got[i]); d > diffTol {
-						t.Fatalf("trial %d block %d: gaussian %.12f cg %.12f (Δ %.3g)",
-							trial, i, want[i], got[i], d)
+				pow := randomPower(&rng, plan.NumBlocks(), 4.0)
+				gauss := m.solveGauss(pow)
+				for i, x := range m.solveCG(pow) {
+					if d := math.Abs(x - gauss[i]); d > diffTol {
+						t.Fatalf("trial %d node %d: elimination %.12f cg %.12f (Δ %.3g)", trial, i, gauss[i], x, d)
 					}
 				}
-				ref := sparse.SteadyStateDense(pow)
-				for i := range want {
-					if ref[i] != want[i] {
-						t.Fatalf("SteadyStateDense diverges from the dense solver at block %d", i)
-					}
-				}
+				requireSteady(t, m, "SteadyState", m.SteadyState(pow), gauss[:m.n])
 			}
 		})
 	}
 }
 
-// TestDiffWarmStart checks the full warm-start state (blocks and sink)
-// agrees across solvers, then that both hold steady under the same
-// power.
+// TestDiffWarmStart checks the full warm-start state (blocks, spreader,
+// sink) against Gaussian elimination, then that it holds steady under
+// the same power.
 func TestDiffWarmStart(t *testing.T) {
 	for name, plan := range diffPlans() {
 		t.Run(name, func(t *testing.T) {
-			dense, sparse := densePair(t, plan)
+			m := New(plan, config.Default())
 			rng := lcg(0x77)
 			pow := randomPower(&rng, plan.NumBlocks(), 2.5)
-			dense.WarmStart(pow)
-			sparse.WarmStart(pow)
-			for i := 0; i < plan.NumBlocks(); i++ {
-				if d := math.Abs(dense.Temp(i) - sparse.Temp(i)); d > diffTol {
-					t.Fatalf("block %d: dense %.12f sparse %.12f", i, dense.Temp(i), sparse.Temp(i))
-				}
-			}
-			if d := math.Abs(dense.SinkTemp() - sparse.SinkTemp()); d > diffTol {
-				t.Fatalf("sink: dense %.12f sparse %.12f", dense.SinkTemp(), sparse.SinkTemp())
-			}
-			// A warm-started model must not drift under the same power.
-			sparse.Advance(pow, 1e-3)
-			for i := 0; i < plan.NumBlocks(); i++ {
-				if d := math.Abs(dense.Temp(i) - sparse.Temp(i)); d > 1e-6 {
-					t.Fatalf("sparse drifted from its own steady state at block %d (Δ %.3g)", i, d)
+			m.WarmStart(pow)
+			gauss := m.solveGauss(pow)
+			requireSteady(t, m, "WarmStart", m.t, gauss)
+			m.Advance(pow, 1e-3)
+			for i := range gauss {
+				if d := math.Abs(m.t[i] - gauss[i]); d > 1e-6 {
+					t.Fatalf("drifted from the steady state at node %d (Δ %.3g)", i, d)
 				}
 			}
 		})
 	}
 }
 
-// --- Solver-generic property tests -----------------------------------------
+// --- Property tests ---------------------------------------------------------
 
-// eachSolver runs f against a model built with each backend on the given
-// plan (skipping dense when the plan exceeds its cap).
-func eachSolver(t *testing.T, plan *floorplan.Plan, f func(t *testing.T, m *Model, cfg *config.Config)) {
-	for _, solver := range []config.ThermalSolver{config.ThermalDense, config.ThermalSparse} {
-		t.Run(solver.String(), func(t *testing.T) {
+// eachSolver runs f once per steady-state solver, called directly so
+// both are held to the properties at every plan size: "dense" is
+// Gaussian elimination, "sparse" conjugate gradient. steady returns
+// every node's equilibrium: blocks, then spreader and sink.
+func eachSolver(t *testing.T, plan *floorplan.Plan, f func(t *testing.T, m *Model, steady func([]float64) []float64, cfg *config.Config)) {
+	for _, s := range []struct {
+		name  string
+		solve func(*Model, []float64) []float64
+	}{{"dense", (*Model).solveGauss}, {"sparse", (*Model).solveCG}} {
+		t.Run(s.name, func(t *testing.T) {
 			cfg := config.Default()
-			cfg.ThermalSolver = solver
-			m, err := New(plan, cfg)
-			if err != nil {
-				if solver == config.ThermalDense && plan.NumBlocks()+2 > DenseMaxNodes {
-					t.Skip("plan beyond the dense cap")
-				}
-				t.Fatal(err)
-			}
-			f(t, m, cfg)
+			m := New(plan, cfg)
+			steady := func(p []float64) []float64 { return append([]float64(nil), s.solve(m, p)...) }
+			f(t, m, steady, cfg)
 		})
 	}
 }
@@ -226,17 +247,17 @@ func propertyPlans() map[string]*floorplan.Plan {
 	return map[string]*floorplan.Plan{
 		"paper-iq": floorplan.Build(config.PlanIQConstrained),
 		"mesh-6x7": floorplan.Mesh(6, 7),
+		"mesh-9x9": floorplan.Mesh(9, 9), // 83 nodes: CG by size
 		"rand-33":  floorplan.Random(33, 0x1234),
 	}
 }
 
 // TestPropertyConductanceSymmetry: g[i][j] == g[j][i] for every node
-// pair, on both backends (they share the CSR build, so this pins the
-// construction, not just the accessor).
+// pair (this pins the CSR construction, not just the accessor).
 func TestPropertyConductanceSymmetry(t *testing.T) {
 	for name, plan := range propertyPlans() {
 		t.Run(name, func(t *testing.T) {
-			eachSolver(t, plan, func(t *testing.T, m *Model, _ *config.Config) {
+			eachSolver(t, plan, func(t *testing.T, m *Model, _ func([]float64) []float64, _ *config.Config) {
 				for i := 0; i < m.nTotal; i++ {
 					for j := i + 1; j < m.nTotal; j++ {
 						if gij, gji := m.conductance(i, j), m.conductance(j, i); gij != gji {
@@ -255,12 +276,11 @@ func TestPropertyConductanceSymmetry(t *testing.T) {
 func TestPropertyZeroPowerRelaxation(t *testing.T) {
 	for name, plan := range propertyPlans() {
 		t.Run(name, func(t *testing.T) {
-			eachSolver(t, plan, func(t *testing.T, m *Model, cfg *config.Config) {
+			eachSolver(t, plan, func(t *testing.T, m *Model, steady func([]float64) []float64, cfg *config.Config) {
 				n := m.NumBlocks()
-				ss := m.SteadyState(make([]float64, n))
-				for i, temp := range ss {
+				for i, temp := range steady(make([]float64, n)) {
 					if math.Abs(temp-cfg.AmbientK) > 1e-6 {
-						t.Fatalf("block %d zero-power steady state %v", i, temp)
+						t.Fatalf("node %d zero-power steady state %v", i, temp)
 					}
 				}
 				hot := make([]float64, n)
@@ -288,16 +308,15 @@ func TestPropertyZeroPowerRelaxation(t *testing.T) {
 func TestPropertyEnergyBalance(t *testing.T) {
 	for name, plan := range propertyPlans() {
 		t.Run(name, func(t *testing.T) {
-			eachSolver(t, plan, func(t *testing.T, m *Model, cfg *config.Config) {
+			eachSolver(t, plan, func(t *testing.T, m *Model, steady func([]float64) []float64, cfg *config.Config) {
 				rng := lcg(0x42)
 				pow := randomPower(&rng, m.NumBlocks(), 2.0)
 				total := 0.0
 				for _, p := range pow {
 					total += p
 				}
-				m.WarmStart(pow)
 				want := cfg.AmbientK + total*cfg.ConvectionRes
-				if got := m.SinkTemp(); math.Abs(got-want) > 1e-6 {
+				if got := steady(pow)[m.n+1]; math.Abs(got-want) > 1e-6 {
 					t.Fatalf("sink %v, want %v (conservation violated)", got, want)
 				}
 			})
@@ -310,18 +329,18 @@ func TestPropertyEnergyBalance(t *testing.T) {
 func TestPropertyMonotoneInPower(t *testing.T) {
 	for name, plan := range propertyPlans() {
 		t.Run(name, func(t *testing.T) {
-			eachSolver(t, plan, func(t *testing.T, m *Model, _ *config.Config) {
+			eachSolver(t, plan, func(t *testing.T, m *Model, steady func([]float64) []float64, _ *config.Config) {
 				rng := lcg(0x99)
 				base := randomPower(&rng, m.NumBlocks(), 1.0)
-				low := m.SteadyState(base)
+				low := steady(base)
 				for _, idx := range []int{0, m.NumBlocks() / 2, m.NumBlocks() - 1} {
 					bumped := make([]float64, len(base))
 					copy(bumped, base)
 					bumped[idx] += 1.5
-					high := m.SteadyState(bumped)
+					high := steady(bumped)
 					for i := range low {
 						if high[i] < low[i]-1e-9 {
-							t.Fatalf("block %d cooled when block %d's power rose", i, idx)
+							t.Fatalf("node %d cooled when block %d's power rose", i, idx)
 						}
 					}
 					if high[idx]-low[idx] < 1e-4 {
@@ -335,8 +354,7 @@ func TestPropertyMonotoneInPower(t *testing.T) {
 
 // TestLargeMeshEndToEnd is the scale acceptance check: a 3000-node mesh
 // plan (50×60 blocks) builds, integrates transients, and solves steady
-// states on the sparse path — the configuration the historical 64-node
-// panic made impossible — with physically sane results.
+// states by conjugate gradient, with physically sane results.
 func TestLargeMeshEndToEnd(t *testing.T) {
 	rows, cols := 50, 60
 	if testing.Short() {
@@ -344,12 +362,9 @@ func TestLargeMeshEndToEnd(t *testing.T) {
 	}
 	plan := floorplan.Mesh(rows, cols)
 	cfg := config.Default()
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solver() != config.ThermalSparse {
-		t.Fatalf("solver %v for %d nodes", m.Solver(), plan.NumBlocks()+2)
+	m := New(plan, cfg)
+	if m.nTotal <= gaussMaxNodes {
+		t.Fatalf("%d nodes would not take the CG path", m.nTotal)
 	}
 	n := plan.NumBlocks()
 	pow := make([]float64, n)
@@ -394,53 +409,33 @@ func TestLargeMeshEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSparseAdvanceDoesNotAllocate locks the sparse transient path to
-// zero steady-state heap traffic, matching the dense path's fixed
-// buffer: the per-interval Advance sits on the simulator's hot loop.
+// TestSparseAdvanceDoesNotAllocate locks the transient path to zero
+// steady-state heap traffic at paper and mesh scale: the per-interval
+// Advance sits on the simulator's hot loop.
 func TestSparseAdvanceDoesNotAllocate(t *testing.T) {
-	plan := floorplan.Mesh(20, 20)
 	cfg := config.Default()
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pow := make([]float64, plan.NumBlocks())
-	for i := range pow {
-		pow[i] = 0.05
-	}
-	dt := m.MaxStableStep() * 10
-	m.Advance(pow, dt) // warm any lazy state
-	if avg := testing.AllocsPerRun(50, func() { m.Advance(pow, dt) }); avg != 0 {
-		t.Fatalf("sparse Advance allocates %.1f objects per call", avg)
+	for _, plan := range []*floorplan.Plan{floorplan.Build(config.PlanIQConstrained), floorplan.Mesh(20, 20)} {
+		m := New(plan, cfg)
+		pow := make([]float64, plan.NumBlocks())
+		for i := range pow {
+			pow[i] = 0.05
+		}
+		dt := m.MaxStableStep() * 10
+		if avg := testing.AllocsPerRun(50, func() { m.Advance(pow, dt) }); avg != 0 {
+			t.Fatalf("%d-node Advance allocates %.1f objects per call", m.nTotal, avg)
+		}
 	}
 }
 
-// TestSteadyStateScratchReuse: repeated sparse steady-state solves reuse
-// the CG scratch — only the returned result slice is allocated.
+// TestSteadyStateScratchReuse: repeated CG steady-state solves reuse the
+// scratch — only the returned result slice is allocated.
 func TestSteadyStateScratchReuse(t *testing.T) {
 	plan := floorplan.Mesh(15, 15)
-	cfg := config.Default()
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(plan, config.Default())
 	pow := make([]float64, plan.NumBlocks())
 	pow[0] = 2.0
 	m.SteadyState(pow) // size the scratch
 	if avg := testing.AllocsPerRun(20, func() { m.SteadyState(pow) }); avg > 1 {
-		t.Fatalf("sparse SteadyState allocates %.1f objects per call, want just the result", avg)
-	}
-}
-
-func TestSolverString(t *testing.T) {
-	for want, s := range map[string]config.ThermalSolver{
-		"auto": config.ThermalAuto, "dense": config.ThermalDense, "sparse": config.ThermalSparse,
-	} {
-		if s.String() != want {
-			t.Fatalf("String() = %q, want %q", s.String(), want)
-		}
-	}
-	if got := fmt.Sprint(config.ThermalSolver(7)); got != "ThermalSolver(7)" {
-		t.Fatalf("out-of-range String() = %q", got)
+		t.Fatalf("CG SteadyState allocates %.1f objects per call, want just the result", avg)
 	}
 }

@@ -12,11 +12,7 @@ func newModel(t testing.TB) (*Model, *floorplan.Plan, *config.Config) {
 	t.Helper()
 	cfg := config.Default()
 	plan := floorplan.Build(config.PlanIQConstrained)
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, plan, cfg
+	return New(plan, cfg), plan, cfg
 }
 
 func TestInitialTemperaturesAmbient(t *testing.T) {

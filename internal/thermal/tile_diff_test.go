@@ -1,10 +1,10 @@
 // Differential coverage for the multicore-shared thermal network: a 2×2
-// tiling of the paper plan (104 blocks + spreader + sink) is beyond the
-// dense integrator's cap, so the shared-field path runs on the sparse
-// solver — held here against the any-size dense Gaussian reference at the
-// same 1e-9 the single-plan differential suite uses. The file also proves
-// degenerate single-block plans (the floorplan edge cases) build working
-// models under both backends.
+// tiling of the paper plan (104 blocks + spreader + sink) is above
+// gaussMaxNodes, so its steady states take the conjugate-gradient path —
+// held here against Gaussian elimination at the same 1e-9 the
+// single-plan differential suite uses. The file also proves degenerate
+// single-block plans (the floorplan edge cases) build working models and
+// that both steady-state solvers agree on them.
 package thermal
 
 import (
@@ -16,26 +16,23 @@ import (
 )
 
 // TestTiledSharedNetworkDifferential: CG steady states on the shared
-// 4-core die match the dense Gaussian reference within diffTol, and a
+// 4-core die match Gaussian elimination within diffTol, and a
 // warm-started shared network holds its steady state under transient
 // integration.
 func TestTiledSharedNetworkDifferential(t *testing.T) {
 	plan := floorplan.Tile(floorplan.Build(config.PlanIQConstrained), 2, 2)
 	cfg := config.Default()
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solver() != config.ThermalSparse {
-		t.Fatalf("4 tiled cores resolved to %v; the shared network is sparse territory", m.Solver())
+	m := New(plan, cfg)
+	if m.nTotal <= gaussMaxNodes {
+		t.Fatalf("4 tiled cores have %d nodes; the shared network should take the CG path", m.nTotal)
 	}
 	rng := lcg(0x4c07e5)
 	n := plan.NumBlocks()
 	for trial := 0; trial < 10; trial++ {
 		pow := randomPower(&rng, n, 3.0)
-		want := m.SteadyStateDense(pow)
+		want := m.solveGauss(pow)
 		got := m.SteadyState(pow)
-		for i := range want {
+		for i := range got {
 			if d := math.Abs(want[i] - got[i]); d > diffTol {
 				t.Fatalf("trial %d block %d (%s): gaussian %.12f cg %.12f (Δ %.3g)",
 					trial, i, plan.Blocks[i].Name, want[i], got[i], d)
@@ -44,17 +41,17 @@ func TestTiledSharedNetworkDifferential(t *testing.T) {
 	}
 	// Warm start then integrate under the same power: no drift.
 	pow := randomPower(&rng, n, 2.0)
-	ref := m.SteadyStateDense(pow)
+	ref := m.solveGauss(pow)
 	m.WarmStart(pow)
 	for i := range ref {
-		if d := math.Abs(m.Temp(i) - ref[i]); d > diffTol {
-			t.Fatalf("warm start block %d off dense steady state by %.3g", i, d)
+		if d := math.Abs(m.t[i] - ref[i]); d > diffTol {
+			t.Fatalf("warm start node %d off the elimination steady state by %.3g", i, d)
 		}
 	}
 	m.Advance(pow, 2e-3)
 	for i := range ref {
-		if d := math.Abs(m.Temp(i) - ref[i]); d > 1e-6 {
-			t.Fatalf("shared network drifted from steady state at block %d (Δ %.3g)", i, d)
+		if d := math.Abs(m.t[i] - ref[i]); d > 1e-6 {
+			t.Fatalf("shared network drifted from steady state at node %d (Δ %.3g)", i, d)
 		}
 	}
 	// Energy balance on the shared die: sink sits at ambient plus total
@@ -77,10 +74,7 @@ func TestTiledHeatCrossesCoreBoundary(t *testing.T) {
 	nb := base.NumBlocks()
 	plan := floorplan.Tile(base, 1, 2)
 	cfg := config.Default()
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(plan, cfg)
 	pow := make([]float64, plan.NumBlocks())
 	for i := 0; i < nb; i++ {
 		pow[i] = 2.0 // heat core 0 only
@@ -102,9 +96,9 @@ func TestTiledHeatCrossesCoreBoundary(t *testing.T) {
 }
 
 // TestDegeneratePlanThermalConstruction: single-block and single-row
-// plans (the floorplan generators' edge cases) build valid models under
-// both solver backends, agree with each other, and satisfy the
-// steady-state energy balance.
+// plans (the floorplan generators' edge cases) build valid models, both
+// steady-state solvers agree on them, and they satisfy the steady-state
+// energy balance.
 func TestDegeneratePlanThermalConstruction(t *testing.T) {
 	plans := map[string]*floorplan.Plan{
 		"mesh-1x1": floorplan.Mesh(1, 1),
@@ -113,7 +107,8 @@ func TestDegeneratePlanThermalConstruction(t *testing.T) {
 	}
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			dense, sparse := densePair(t, plan)
+			cfg := config.Default()
+			m := New(plan, cfg)
 			n := plan.NumBlocks()
 			pow := make([]float64, n)
 			total := 0.0
@@ -121,38 +116,36 @@ func TestDegeneratePlanThermalConstruction(t *testing.T) {
 				pow[i] = 1.5 + 0.5*float64(i)
 				total += pow[i]
 			}
-			dt := dense.SteadyState(pow)
-			st := sparse.SteadyState(pow)
-			cfg := config.Default()
-			for i := 0; i < n; i++ {
-				if d := math.Abs(dt[i] - st[i]); d > diffTol {
-					t.Fatalf("block %d: dense %.12f sparse %.12f", i, dt[i], st[i])
+			st := m.SteadyState(pow)
+			for i, x := range m.solveCG(pow)[:n] {
+				if d := math.Abs(x - st[i]); d > diffTol {
+					t.Fatalf("block %d: elimination %.12f cg %.12f", i, st[i], x)
 				}
-				if dt[i] <= cfg.AmbientK {
-					t.Fatalf("block %d steady state %.4f not above ambient", i, dt[i])
+				if st[i] <= cfg.AmbientK {
+					t.Fatalf("block %d steady state %.4f not above ambient", i, st[i])
 				}
-			}
-			dense.WarmStart(pow)
-			wantSink := cfg.AmbientK + total*cfg.ConvectionRes
-			if d := math.Abs(dense.SinkTemp() - wantSink); d > 1e-6 {
-				t.Fatalf("sink %.9f, energy balance wants %.9f", dense.SinkTemp(), wantSink)
 			}
 			// Transient integration moves from ambient toward the steady
 			// state without overshooting it.
 			for step := 0; step < 50; step++ {
-				sparse.Advance(pow, 1e-3)
+				m.Advance(pow, 1e-3)
 			}
 			for i := 0; i < n; i++ {
-				if got := sparse.Temp(i); got <= cfg.AmbientK || got > st[i]+diffTol {
+				if got := m.Temp(i); got <= cfg.AmbientK || got > st[i]+diffTol {
 					t.Fatalf("block %d transient %.6f outside (ambient %.2f, steady %.6f]",
 						i, got, cfg.AmbientK, st[i])
 				}
 			}
-			// A warm-started model holds its steady state.
-			sparse.WarmStart(pow)
-			sparse.Advance(pow, 1e-3)
+			// A warm-started model satisfies the energy balance and holds
+			// its steady state.
+			m.WarmStart(pow)
+			wantSink := cfg.AmbientK + total*cfg.ConvectionRes
+			if d := math.Abs(m.SinkTemp() - wantSink); d > 1e-6 {
+				t.Fatalf("sink %.9f, energy balance wants %.9f", m.SinkTemp(), wantSink)
+			}
+			m.Advance(pow, 1e-3)
 			for i := 0; i < n; i++ {
-				if d := math.Abs(sparse.Temp(i) - st[i]); d > 1e-6 {
+				if d := math.Abs(m.Temp(i) - st[i]); d > 1e-6 {
 					t.Fatalf("block %d drifted from steady state by %.3g", i, d)
 				}
 			}

@@ -7,8 +7,9 @@
 #
 # Runs the gated microbenchmarks (default: the cycle hot loop —
 # BenchmarkPipelineCycle and BenchmarkSimInterval — plus the thermal
-# axis, BenchmarkThermalAdvance and BenchmarkThermalSteadyState at
-# N=30/300/3000, the multi-core lockstep interval,
+# axis in internal/thermal, BenchmarkThermalAdvance at paper scale and
+# N=30/300/3000 and BenchmarkThermalSteadyState's CG and Gaussian
+# solves at N=30/300/3000, the multi-core lockstep interval,
 # BenchmarkMulticoreInterval at 1/2/4/8 cores, and the service-layer
 # load generator, BenchmarkEngineThroughput in internal/service, at
 # hit/miss/mixed × 1/4/16/64 submitters) with -benchmem -count=5
@@ -41,9 +42,10 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 echo "bench: running ${PATTERN} with -benchmem -count=${COUNT}" >&2
 # The full pattern at -count=5 runs past go test's default 10m timeout.
-# The root package holds the simulator loops; internal/service holds the
-# engine throughput load generator.
-go test -run '^$' -bench "${PATTERN}" -benchmem -count="${COUNT}" -timeout 40m . ./internal/service | tee "$RAW" >&2
+# The root package holds the simulator loops, internal/thermal the
+# thermal solver benchmarks, and internal/service the engine throughput
+# load generator.
+go test -run '^$' -bench "${PATTERN}" -benchmem -count="${COUNT}" -timeout 40m . ./internal/thermal ./internal/service | tee "$RAW" >&2
 
 # Assemble the JSON record: environment, per-sample parse, and the raw
 # benchstat-compatible text. An existing record's hand-curated baseline
