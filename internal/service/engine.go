@@ -43,7 +43,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/multicore"
-	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -78,10 +77,10 @@ var ErrShutdown = errors.New("service: engine shutting down")
 // on a result nobody will be there to read. Served as 429 + Retry-After.
 var ErrDeadlineUnmeetable = errors.New("service: deadline unmeetable at current load")
 
-// ErrDeadlineExpired fails a job whose client deadline passed while it
-// waited in the queue (or between retry attempts) — the worker sheds it
-// instead of running it.
-var ErrDeadlineExpired = errors.New("service: deadline expired before the job ran")
+// ErrDeadlineExpired fails a job whose client deadline passed before it
+// completed — in the queue, between retry attempts, or mid-attempt. The
+// job is shed, never retried.
+var ErrDeadlineExpired = errors.New("service: client deadline expired before the job completed")
 
 // ErrAbandoned fails a job whose only synchronous waiter disconnected:
 // the run context is cancelled with this cause and the worker stops
@@ -92,6 +91,10 @@ var ErrAbandoned = errors.New("service: abandoned by client")
 // stopped making progress (no cancellation-poll ticks from the
 // simulator's interval loop for a full watchdog period).
 var ErrStuck = errors.New("service: attempt made no progress (watchdog)")
+
+// errJobTimeout ends an attempt that ran out EngineConfig.JobTimeout:
+// the transient early end, retried up to MaxRetries.
+var errJobTimeout = fmt.Errorf("service: job timeout: %w", context.DeadlineExceeded)
 
 // Job is one submitted cell. All mutable fields are guarded by the
 // home shard's mutex; callers read them through Status snapshots or
@@ -199,16 +202,11 @@ type EngineConfig struct {
 	// (three attempts total), negative disables retries.
 	MaxRetries int
 	// RetryBase is the first backoff delay (doubled per retry, with
-	// jitter); <= 0 means 50ms.
+	// jitter, capped at retryMax); <= 0 means 50ms.
 	RetryBase time.Duration
-	// RetryMax caps the backoff delay; <= 0 means 2s.
-	RetryMax time.Duration
 	// QuarantineAfter is how many recovered panics a job key may
 	// accumulate before it is quarantined; <= 0 means 3.
 	QuarantineAfter int
-	// JitterSeed seeds the per-worker retry-jitter rngs (jitterSeed
-	// derivation in shard.go); 0 means defaultJitterSeed.
-	JitterSeed uint64
 
 	// Journal, when non-nil, makes job transitions durable: submits are
 	// WAL-logged before enqueue, terminal states on settle, and Replay
@@ -352,24 +350,15 @@ type MulticoreMetrics struct {
 
 // Engine runs jobs. Create with NewEngine, stop with Shutdown.
 type Engine struct {
-	cache      *Cache
-	jobTimeout time.Duration
+	cfg EngineConfig // normalized by NewEngine: every default applied
 
-	// Fault-tolerance knobs (see EngineConfig).
-	maxRetries      int
-	retryBase       time.Duration
-	retryMax        time.Duration
-	quarantineAfter int
-	journal         *journal.Journal
-	inj             *faultinject.Injector
-
-	// The sharded dispatcher (shard.go). depth is the aggregate queue
-	// capacity; queued counts reserved slots across all shards; wakeCh
+	// The sharded dispatcher (shard.go). queued counts reserved slots
+	// across all shards against the aggregate cfg.QueueDepth; wakeCh
 	// carries work-available tokens to idle workers; spaceCh nudges the
-	// blocking journal-replay submitter when capacity frees.
+	// blocking journal-replay submitter when capacity frees; stopCh
+	// closes when Shutdown begins.
 	shards  []*shard
 	workers []*workerState
-	depth   int
 	queued  atomic.Int64
 	wakeCh  chan struct{}
 	spaceCh chan struct{}
@@ -383,13 +372,14 @@ type Engine struct {
 	batches      map[string]*Batch
 	batchDeduped uint64
 
-	closed   atomic.Bool
-	closing  atomic.Bool
+	closed   atomic.Bool // Shutdown has begun
 	draining atomic.Bool // readiness off ahead of shutdown (BeginDrain)
 	replayed atomic.Bool // journal replay finished (true when no journal)
-	baseCtx  context.Context
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
+	// baseCtx parents every job's run context; Shutdown cancels it with
+	// ErrShutdown at the drain deadline.
+	baseCtx context.Context
+	cancel  context.CancelCauseFunc
+	wg      sync.WaitGroup
 
 	start       time.Time
 	running     atomic.Int64
@@ -401,17 +391,14 @@ type Engine struct {
 	// exponentially weighted moving average of attempt latency in
 	// seconds; lastReject is the UnixNano of the most recent
 	// shed/queue-full rejection, the overload-hysteresis signal.
-	now             func() time.Time
-	defaultDeadline time.Duration
-	watchdog        time.Duration
-	overloadHold    time.Duration
-	cbrk            *Breaker // cache-disk breaker
-	jbrk            *Breaker // journal breaker
-	latEWMA         atomic.Uint64
-	lastReject      atomic.Int64
-	shedAdmission   atomic.Uint64
-	journalSkipped  atomic.Uint64
-	rejournalMu     sync.Mutex // one re-journal compaction at a time
+	now            func() time.Time
+	cbrk           *Breaker // cache-disk breaker
+	jbrk           *Breaker // journal breaker
+	latEWMA        atomic.Uint64
+	lastReject     atomic.Int64
+	shedAdmission  atomic.Uint64
+	journalSkipped atomic.Uint64
+	rejournalMu    sync.Mutex // one re-journal compaction at a time
 
 	healthMu      sync.Mutex
 	healthCur     HealthState
@@ -430,11 +417,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache, _ = NewCache(128, "")
+	if cfg.Cache == nil {
+		cfg.Cache, _ = NewCache(128, "")
 	}
-	cache.SetInjector(cfg.Inject)
+	cfg.Cache.SetInjector(cfg.Inject)
 	switch {
 	case cfg.MaxRetries == 0:
 		cfg.MaxRetries = 2
@@ -444,14 +430,8 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 50 * time.Millisecond
 	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 2 * time.Second
-	}
 	if cfg.QuarantineAfter <= 0 {
 		cfg.QuarantineAfter = 3
-	}
-	if cfg.JitterSeed == 0 {
-		cfg.JitterSeed = defaultJitterSeed
 	}
 	switch {
 	case cfg.Watchdog == 0 && cfg.JobTimeout > 0:
@@ -462,64 +442,54 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.OverloadHold <= 0 {
 		cfg.OverloadHold = 2 * time.Second
 	}
-	workers := runner.Resolve(cfg.Workers, 0)
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = workers
+	cfg.Workers = runner.Resolve(cfg.Workers, 0)
+	if cfg.Shards <= 0 {
+		cfg.Shards = cfg.Workers
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	replay := cfg.Replay
+	cfg.Replay = nil // recovered once below; not retained
+	ctx, cancel := context.WithCancelCause(context.Background())
 	e := &Engine{
-		cache:           cache,
-		jobTimeout:      cfg.JobTimeout,
-		maxRetries:      cfg.MaxRetries,
-		retryBase:       cfg.RetryBase,
-		retryMax:        cfg.RetryMax,
-		quarantineAfter: cfg.QuarantineAfter,
-		journal:         cfg.Journal,
-		inj:             cfg.Inject,
-		depth:           cfg.QueueDepth,
-		wakeCh:          make(chan struct{}, cfg.QueueDepth),
-		spaceCh:         make(chan struct{}, 1),
-		stopCh:          make(chan struct{}),
-		batches:         make(map[string]*Batch),
-		baseCtx:         ctx,
-		cancel:          cancel,
-		start:           time.Now(),
-		run:             runCell,
-		now:             cfg.Inject.Now, // nil-receiver safe: falls back to time.Now
-		defaultDeadline: cfg.DefaultDeadline,
-		watchdog:        cfg.Watchdog,
-		overloadHold:    cfg.OverloadHold,
-		healthCur:       HealthHealthy,
-		healthEntered:   map[HealthState]uint64{HealthHealthy: 1},
+		cfg:           cfg,
+		wakeCh:        make(chan struct{}, cfg.QueueDepth),
+		spaceCh:       make(chan struct{}, 1),
+		stopCh:        make(chan struct{}),
+		batches:       make(map[string]*Batch),
+		baseCtx:       ctx,
+		cancel:        cancel,
+		start:         time.Now(),
+		run:           runCell,
+		now:           cfg.Inject.Now, // nil-receiver safe: falls back to time.Now
+		healthCur:     HealthHealthy,
+		healthEntered: map[HealthState]uint64{HealthHealthy: 1},
 	}
 	e.healthSince = e.now()
 	e.cbrk = newBreaker("cache", cfg.BreakerFailures, cfg.BreakerLatency, cfg.BreakerCooldown, e.now)
-	cache.SetBreaker(e.cbrk)
+	cfg.Cache.SetBreaker(e.cbrk)
 	if cfg.Journal != nil {
 		e.jbrk = newBreaker("journal", cfg.BreakerFailures, cfg.BreakerLatency, cfg.BreakerCooldown, e.now)
 	}
 	if cfg.runFunc != nil {
 		e.run = cfg.runFunc
 	}
-	e.shards = make([]*shard, nshards)
+	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			jobs:        make(map[string]*Job),
 			panicCounts: make(map[string]int),
 		}
 	}
-	e.workers = make([]*workerState, workers)
+	e.workers = make([]*workerState, cfg.Workers)
 	for i := range e.workers {
-		e.workers[i] = &workerState{rng: rng.New(jitterSeed(cfg.JitterSeed, i))}
+		e.workers[i] = &workerState{rng: rng.New(jitterSeed(defaultJitterSeed, i))}
 	}
 	e.replayed.Store(true)
-	for i := 0; i < workers; i++ {
+	for i := range e.workers {
 		e.wg.Add(1)
 		go e.worker(i)
 	}
-	e.recoverJournal(cfg.Replay)
-	if e.journal != nil {
+	e.recoverJournal(replay)
+	if cfg.Journal != nil {
 		// The maintenance loop probes an open journal breaker so
 		// durability recovers on its own, without waiting for traffic.
 		e.wg.Add(1)
@@ -534,7 +504,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 // until they are all enqueued; their results then arrive through the
 // normal worker/cache path).
 func (e *Engine) recoverJournal(recs []journal.Record) {
-	if e.journal == nil {
+	if e.cfg.Journal == nil {
 		return
 	}
 	pending, quarantined := journal.Pending(recs)
@@ -543,14 +513,14 @@ func (e *Engine) recoverJournal(recs []journal.Record) {
 		json.Unmarshal(rec.Req, &req) // best-effort: old markers may lack the request
 		sh := e.shardFor(rec.Key)
 		j := &Job{Key: rec.Key, Req: req, home: sh, state: JobQuarantined,
-			err: errors.New(rec.Err), panics: e.quarantineAfter, done: closedDone}
+			err: errors.New(rec.Err), panics: e.cfg.QuarantineAfter, done: closedDone}
 		sh.mu.Lock()
 		sh.jobs[rec.Key] = j
-		sh.panicCounts[rec.Key] = e.quarantineAfter
+		sh.panicCounts[rec.Key] = e.cfg.QuarantineAfter
 		sh.mu.Unlock()
 	}
 	compact := append(append([]journal.Record{}, quarantined...), pending...)
-	if err := e.journal.Rewrite(compact); err != nil {
+	if err := e.cfg.Journal.Rewrite(compact); err != nil {
 		// Startup compaction failing (disk full) degrades durability, it
 		// never blocks startup: the breaker sees the failure and the
 		// maintenance loop retries once the disk recovers.
@@ -605,7 +575,7 @@ func (e *Engine) replayPending(pending []journal.Record) {
 // closing again triggers a re-journal of all outstanding state.
 // Returns whether the record actually reached the WAL.
 func (e *Engine) journalAppend(r journal.Record) bool {
-	if e.journal == nil {
+	if e.cfg.Journal == nil {
 		return false
 	}
 	if !e.jbrk.Allow() {
@@ -613,7 +583,7 @@ func (e *Engine) journalAppend(r journal.Record) bool {
 		return false
 	}
 	start := e.now()
-	err := e.journal.Append(r)
+	err := e.cfg.Journal.Append(r)
 	if err != nil {
 		e.journalErrs.Add(1)
 	}
@@ -641,7 +611,7 @@ func (e *Engine) maintain() {
 				continue
 			}
 			start := e.now()
-			err := e.journal.Append(journal.Record{Op: journal.OpNote, Key: "breaker-probe"})
+			err := e.cfg.Journal.Append(journal.Record{Op: journal.OpNote, Key: "breaker-probe"})
 			if err != nil {
 				e.journalErrs.Add(1)
 			}
@@ -661,7 +631,7 @@ func (e *Engine) maintain() {
 // keeps concurrent appends from landing in the pre-compaction file and
 // being lost by the rename.
 func (e *Engine) rejournal() {
-	if e.journal == nil || !e.rejournalMu.TryLock() {
+	if e.cfg.Journal == nil || !e.rejournalMu.TryLock() {
 		return
 	}
 	defer e.rejournalMu.Unlock()
@@ -692,7 +662,7 @@ func (e *Engine) rejournal() {
 	}
 	sort.Slice(recs, func(i, k int) bool { return recs[i].Key < recs[k].Key })
 	start := e.now()
-	err := e.journal.Rewrite(recs)
+	err := e.cfg.Journal.Rewrite(recs)
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
@@ -702,50 +672,42 @@ func (e *Engine) rejournal() {
 	e.jbrk.Record(e.now().Sub(start), err)
 }
 
+// runJob runs a dispatched job to a terminal state. Panics and transient
+// failures retry; any other error, every stop cause included, fails it.
 func (e *Engine) runJob(id int, j *Job) {
 	h := j.home
 	h.mu.Lock()
 	j.state = JobRunning
+	runCtx := j.runCtx // only a queued job is ever revived with a new one
 	h.mu.Unlock()
 	e.running.Add(1)
 	defer e.running.Add(-1)
 
 	w := e.workers[id]
 	for attempt := 0; ; attempt++ {
-		if e.jobExpired(j) {
-			w.statsMu.Lock()
-			w.stats.shedExpired++
-			w.statsMu.Unlock()
-			e.finish(id, j, nil, ErrDeadlineExpired)
+		// Asked again after every backoff, which wakes early on a stop.
+		if err := e.stopReason(j); err != nil {
+			e.finish(id, j, nil, err)
 			return
+		}
+		if attempt > 0 {
+			w.statsMu.Lock()
+			w.stats.retries++
+			w.statsMu.Unlock()
 		}
 		h.mu.Lock()
 		j.attempts = attempt + 1
 		h.mu.Unlock()
 		astart := e.now()
-		data, err := e.attempt(j)
+		data, err := e.attempt(runCtx, j)
 		e.noteLatency(e.now().Sub(astart))
-		if err == nil {
-			e.cache.Put(j.Key, data)
+		var pe *panicError
+		switch {
+		case err == nil:
+			e.cfg.Cache.Put(j.Key, data)
 			e.finish(id, j, data, nil)
 			return
-		}
-		if e.jobAbandoned(j) {
-			w.statsMu.Lock()
-			w.stats.abandoned++
-			w.statsMu.Unlock()
-			e.finish(id, j, nil, ErrAbandoned)
-			return
-		}
-		if errors.Is(err, ErrStuck) {
-			w.statsMu.Lock()
-			w.stats.watchdog++
-			w.statsMu.Unlock()
-			e.finish(id, j, nil, fmt.Errorf("%w after %s without progress", ErrStuck, e.watchdog))
-			return
-		}
-		var pe *panicError
-		if errors.As(err, &pe) {
+		case errors.As(err, &pe):
 			// A panic fails only this job; the worker survives. The
 			// per-key counter quarantines deterministic crashers instead
 			// of retrying them forever.
@@ -757,63 +719,92 @@ func (e *Engine) runJob(id int, j *Job) {
 			h.panicCounts[j.Key]++
 			n := h.panicCounts[j.Key]
 			h.mu.Unlock()
-			if n >= e.quarantineAfter {
+			if n >= e.cfg.QuarantineAfter {
 				e.quarantine(id, j, err)
 				return
 			}
-		} else if isShutdownErr(err) || !transient(err) {
+		case errors.Is(err, errJobTimeout) || errors.Is(err, faultinject.ErrIO):
+			// Transient. Simulator and validation errors are
+			// deterministic, so retrying them would be waste.
+			if attempt >= e.cfg.MaxRetries {
+				e.finish(id, j, nil, fmt.Errorf("after %d attempts: %w", attempt+1, err))
+				return
+			}
+		default:
 			e.finish(id, j, nil, err)
 			return
-		} else if attempt >= e.maxRetries {
-			e.finish(id, j, nil, fmt.Errorf("after %d attempts: %w", attempt+1, err))
-			return
 		}
-		if e.closing.Load() || !e.backoff(id, attempt) {
-			e.finish(id, j, nil, err)
-			return
-		}
-		w.statsMu.Lock()
-		w.stats.retries++
-		w.statsMu.Unlock()
+		e.backoff(id, attempt, runCtx.Done())
 	}
 }
 
-// attempt executes the job once with panic isolation: a panicking run
-// (simulator bug, injected fault) is converted into a *panicError
-// carrying the goroutine stack instead of killing the worker. The
-// attempt context stacks, innermost first: job timeout, client
-// deadline, the job's cancellable run context (client abandonment),
-// and the engine's base context (shutdown).
-func (e *Engine) attempt(j *Job) (data []byte, err error) {
+// stopReason says why job j must not start an attempt, or nil:
+// ErrShutdown once Shutdown has begun, ErrAbandoned when its last waiter
+// left, ErrDeadlineExpired once its client deadline passed on the engine
+// clock. An abandoned job still queued that a new waiter or a pinned
+// submitter joined is revived with a fresh run context instead.
+func (e *Engine) stopReason(j *Job) error {
+	if e.closed.Load() {
+		return ErrShutdown
+	}
 	h := j.home
 	h.mu.Lock()
-	ctx := j.runCtx
-	deadline := j.deadline
-	h.mu.Unlock()
-	if ctx == nil {
-		ctx = e.baseCtx
+	defer h.mu.Unlock()
+	if context.Cause(j.runCtx) == ErrAbandoned {
+		if j.state != JobQueued || (j.waiters == 0 && !j.pinned) {
+			return ErrAbandoned
+		}
+		j.runCtx, j.runCancel = context.WithCancelCause(e.baseCtx)
 	}
+	if !j.deadline.IsZero() && e.now().After(j.deadline) {
+		return ErrDeadlineExpired
+	}
+	return nil
+}
+
+// attempt executes the job once under its attempt context. Outermost
+// first, it stacks: the job's run context ctx (cancelled with
+// ErrAbandoned when the last waiter leaves, and through the engine's
+// base context with ErrShutdown at the drain deadline), the client
+// deadline (ErrDeadlineExpired), the job timeout (errJobTimeout), and,
+// with the watchdog armed, a cancel the watchdog fires with ErrStuck.
+func (e *Engine) attempt(ctx context.Context, j *Job) ([]byte, error) {
+	h := j.home
+	h.mu.Lock()
+	deadline := j.deadline // joiners may move it between attempts
+	h.mu.Unlock()
 	var cancel context.CancelFunc
 	if !deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(ctx, deadline)
+		ctx, cancel = context.WithDeadlineCause(ctx, deadline, ErrDeadlineExpired)
 		defer cancel()
 	}
-	if e.jobTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, e.jobTimeout)
+	if e.cfg.JobTimeout > 0 {
+		ctx, cancel = context.WithTimeoutCause(ctx, e.cfg.JobTimeout, errJobTimeout)
 		defer cancel()
 	}
+	if e.cfg.Watchdog > 0 {
+		return e.runWatched(ctx, j.Req)
+	}
+	return e.runGuarded(ctx, j.Req)
+}
+
+// runGuarded runs the cell once under recover(): a panicking run
+// (simulator bug, injected fault) becomes a *panicError carrying the
+// goroutine stack instead of killing the worker. An error returned
+// after ctx ended becomes ctx's cancellation cause.
+func (e *Engine) runGuarded(ctx context.Context, req Request) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			data, err = nil, &panicError{val: r, stack: debug.Stack()}
 		}
 	}()
-	if ferr := e.inj.Fire(faultinject.SiteJobRun); ferr != nil {
-		return nil, ferr
+	if err = e.cfg.Inject.Fire(faultinject.SiteJobRun); err == nil {
+		data, err = e.run(ctx, req)
 	}
-	if e.watchdog > 0 {
-		return e.runWatched(ctx, j)
+	if err != nil && ctx.Err() != nil {
+		err = context.Cause(ctx)
 	}
-	return e.run(ctx, j.Req)
+	return data, err
 }
 
 // progressCtx is the watchdog's liveness tap: the simulator's interval
@@ -837,29 +828,25 @@ func (p *progressCtx) Done() <-chan struct{} {
 
 // runWatched executes the attempt on a child goroutine under a soft
 // watchdog: if the run neither finishes nor polls its context for a
-// full watchdog period, the attempt is force-failed with ErrStuck and
-// the wedged goroutine is abandoned (its eventual send lands in a
-// buffered channel). A run that merely takes long but keeps polling is
-// never shot — the watchdog watches progress, not duration.
-func (e *Engine) runWatched(ctx context.Context, j *Job) ([]byte, error) {
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var ticks atomic.Uint64
-	type outcome struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan outcome, 1)
+// full watchdog period, the watchdog cancels the run's context with
+// ErrStuck, fails the attempt with that verdict, and abandons the
+// wedged goroutine (its eventual result is dropped). A run that merely
+// takes long but keeps polling is never shot — the watchdog watches
+// progress, not duration.
+func (e *Engine) runWatched(ctx context.Context, req Request) ([]byte, error) {
+	ctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	var (
+		ticks atomic.Uint64
+		data  []byte
+		err   error
+	)
+	done := make(chan struct{})
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{nil, &panicError{val: r, stack: debug.Stack()}}
-			}
-		}()
-		data, err := e.run(&progressCtx{Context: wctx, ticks: &ticks}, j.Req)
-		ch <- outcome{data, err}
+		data, err = e.runGuarded(&progressCtx{Context: ctx, ticks: &ticks}, req)
+		close(done)
 	}()
-	poll := e.watchdog / 8
+	poll := e.cfg.Watchdog / 8
 	if poll < time.Millisecond {
 		poll = time.Millisecond
 	}
@@ -869,46 +856,22 @@ func (e *Engine) runWatched(ctx context.Context, j *Job) ([]byte, error) {
 	lastProgress := e.now()
 	for {
 		select {
-		case r := <-ch:
-			return r.data, r.err
+		case <-done:
+			return data, err
 		case <-t.C:
 			if cur := ticks.Load(); cur != last {
 				last, lastProgress = cur, e.now()
 				continue
 			}
-			if e.now().Sub(lastProgress) >= e.watchdog {
-				cancel()
-				return nil, ErrStuck
+			if e.now().Sub(lastProgress) >= e.cfg.Watchdog {
+				// The verdict stands even when an outer cause ended the
+				// context first: a run that ignored it is still stuck.
+				stuck := fmt.Errorf("%w after %s without progress", ErrStuck, e.cfg.Watchdog)
+				stop(stuck)
+				return nil, stuck
 			}
 		}
 	}
-}
-
-// jobExpired reports whether the job's client deadline has passed.
-func (e *Engine) jobExpired(j *Job) bool {
-	h := j.home
-	h.mu.Lock()
-	d := j.deadline
-	h.mu.Unlock()
-	return !d.IsZero() && e.now().After(d)
-}
-
-// jobAbandoned reports whether the job's run context was cancelled
-// because its last synchronous waiter disconnected. A job that picked
-// up a new waiter (or a pinned async submitter) after the cancellation
-// raced in is revived with a fresh run context while still queued.
-func (e *Engine) jobAbandoned(j *Job) bool {
-	h := j.home
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if j.runCtx == nil || context.Cause(j.runCtx) != ErrAbandoned {
-		return false
-	}
-	if (j.waiters > 0 || j.pinned) && j.state == JobQueued {
-		j.runCtx, j.runCancel = context.WithCancelCause(e.baseCtx)
-		return false
-	}
-	return true
 }
 
 // noteLatency folds one attempt's wall-clock duration into the EWMA
@@ -981,20 +944,6 @@ func (p *panicError) Error() string {
 	return fmt.Sprintf("job panicked: %v\n%s", p.val, p.stack)
 }
 
-// transient reports whether an attempt error is worth retrying: job
-// timeouts and injected transient I/O failures. Simulator and
-// validation errors are deterministic, so retrying them is waste.
-func transient(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, faultinject.ErrIO)
-}
-
-// isShutdownErr reports whether the failure is shutdown interruption
-// rather than a property of the job — such jobs keep their pending
-// journal record so a restart replays them.
-func isShutdownErr(err error) bool {
-	return errors.Is(err, ErrShutdown) || errors.Is(err, context.Canceled)
-}
-
 // quarantine permanently fails a job whose key keeps panicking and
 // journals the poison marker so it survives restarts.
 func (e *Engine) quarantine(id int, j *Job, cause error) {
@@ -1022,13 +971,12 @@ func (e *Engine) quarantine(id int, j *Job, cause error) {
 func (e *Engine) settle(j *Job) {
 	h := j.home
 	h.mu.Lock()
-	if j.runCancel != nil {
-		j.runCancel(nil)
-	}
+	j.runCancel(nil)
 	h.mu.Unlock()
 	close(j.done)
 }
 
+// finish settles a job done (err nil) or failed, counting failures by cause.
 func (e *Engine) finish(id int, j *Job, data []byte, err error) {
 	h := j.home
 	h.mu.Lock()
@@ -1043,10 +991,18 @@ func (e *Engine) finish(id int, j *Job, data []byte, err error) {
 	if err != nil {
 		w.statsMu.Lock()
 		w.stats.failed++
+		switch {
+		case errors.Is(err, ErrDeadlineExpired):
+			w.stats.shedExpired++
+		case errors.Is(err, ErrAbandoned):
+			w.stats.abandoned++
+		case errors.Is(err, ErrStuck):
+			w.stats.watchdog++
+		}
 		w.statsMu.Unlock()
 		// Shutdown-interrupted jobs keep their pending journal record
 		// so the next start replays them; genuine failures are terminal.
-		if !isShutdownErr(err) && !e.closing.Load() {
+		if !errors.Is(err, ErrShutdown) && !e.closed.Load() {
 			journaled = e.journalAppend(journal.Record{Op: journal.OpFailed, Key: j.Key, Err: err.Error()})
 		} else {
 			journaled = true // intentionally left pending, not a durability gap
@@ -1058,17 +1014,27 @@ func (e *Engine) finish(id int, j *Job, data []byte, err error) {
 		if j.Req.Multicore != nil {
 			var r multicore.Result
 			if json.Unmarshal(data, &r) == nil {
-				addMulticoreLocked(&w.stats, &r)
+				run := MulticoreMetrics{Runs: 1, CoolingStalls: r.CoolingStalls, Migrations: uint64(r.Migrations)}
+				ones := make([]uint64, len(r.PerCore))
+				for i, c := range r.PerCore {
+					ones[i] = 1
+					run.CoreUtilization = append(run.CoreUtilization, c.Utilization)
+					run.CoreAvgTempK = append(run.CoreAvgTempK, c.AvgTempK)
+					run.CorePeakTempK = append(run.CorePeakTempK, c.PeakTempK)
+				}
+				addMulticore(&w.stats.mc, &w.stats.mcCoreN, run, ones)
 			}
 		} else {
 			var r sim.Result
 			if json.Unmarshal(data, &r) == nil {
-				addUtilizationLocked(&w.stats, r.Utilization)
+				u := r.Utilization
+				addUtilization(&w.stats.util, UtilizationMetrics{Cells: 1, IntQHalfOcc: u.IntQHalfOcc,
+					FPQHalfOcc: u.FPQHalfOcc, ALUGrantShare: u.ALUGrantShare, RFReadShare: u.RFReadShare})
 			}
 		}
 		w.statsMu.Unlock()
 	}
-	if e.journal != nil && !journaled {
+	if e.cfg.Journal != nil && !journaled {
 		h.mu.Lock()
 		j.nonDurable = true
 		h.mu.Unlock()
@@ -1076,43 +1042,40 @@ func (e *Engine) finish(id int, j *Job, data []byte, err error) {
 	e.settle(j)
 }
 
-// addUtilizationLocked folds one freshly simulated cell's utilization
-// telemetry into the worker's accumulator. Caller holds statsMu.
-func addUtilizationLocked(ws *workerStats, u pipeline.Utilization) {
-	ws.utilN++
+// addUtilization adds the utilization sum src — one cell's telemetry,
+// or a worker's running sum — into the sum dst.
+func addUtilization(dst *UtilizationMetrics, src UtilizationMetrics) {
+	dst.Cells += src.Cells
 	for h := 0; h < 2; h++ {
-		ws.utilSum.IntQHalfOcc[h] += u.IntQHalfOcc[h]
-		ws.utilSum.FPQHalfOcc[h] += u.FPQHalfOcc[h]
+		dst.IntQHalfOcc[h] += src.IntQHalfOcc[h]
+		dst.FPQHalfOcc[h] += src.FPQHalfOcc[h]
 	}
-	ws.utilSum.ALUGrantShare = addVec(ws.utilSum.ALUGrantShare, u.ALUGrantShare)
-	ws.utilSum.RFReadShare = addVec(ws.utilSum.RFReadShare, u.RFReadShare)
+	dst.ALUGrantShare = addVec(dst.ALUGrantShare, src.ALUGrantShare)
+	dst.RFReadShare = addVec(dst.RFReadShare, src.RFReadShare)
 }
 
-// addMulticoreLocked folds one freshly computed scheduling run's
-// per-core telemetry into the worker's accumulator. Caller holds
-// statsMu.
-func addMulticoreLocked(ws *workerStats, r *multicore.Result) {
-	ws.mcSum.Runs++
-	ws.mcSum.CoolingStalls += r.CoolingStalls
-	ws.mcSum.Migrations += uint64(r.Migrations)
-	for len(ws.mcCoreN) < len(r.PerCore) {
-		ws.mcCoreN = append(ws.mcCoreN, 0)
-		ws.mcSum.CoreUtilization = append(ws.mcSum.CoreUtilization, 0)
-		ws.mcSum.CoreAvgTempK = append(ws.mcSum.CoreAvgTempK, 0)
-		ws.mcSum.CorePeakTempK = append(ws.mcSum.CorePeakTempK, 0)
+// addMulticore adds the multicore sum src — one run, or a worker's
+// running sum — with per-core run counts srcN into the sum dst with
+// counts dstN. Peak temperatures fold as maxima.
+func addMulticore(dst *MulticoreMetrics, dstN *[]uint64, src MulticoreMetrics, srcN []uint64) {
+	dst.Runs += src.Runs
+	dst.CoolingStalls += src.CoolingStalls
+	dst.Migrations += src.Migrations
+	*dstN = addVec(*dstN, srcN)
+	dst.CoreUtilization = addVec(dst.CoreUtilization, src.CoreUtilization)
+	dst.CoreAvgTempK = addVec(dst.CoreAvgTempK, src.CoreAvgTempK)
+	for len(dst.CorePeakTempK) < len(src.CorePeakTempK) {
+		dst.CorePeakTempK = append(dst.CorePeakTempK, 0)
 	}
-	for i, c := range r.PerCore {
-		ws.mcCoreN[i]++
-		ws.mcSum.CoreUtilization[i] += c.Utilization
-		ws.mcSum.CoreAvgTempK[i] += c.AvgTempK
-		if c.PeakTempK > ws.mcSum.CorePeakTempK[i] {
-			ws.mcSum.CorePeakTempK[i] = c.PeakTempK
+	for i, p := range src.CorePeakTempK {
+		if p > dst.CorePeakTempK[i] {
+			dst.CorePeakTempK[i] = p
 		}
 	}
 }
 
 // addVec accumulates b into a element-wise, growing a as needed.
-func addVec(a, b []float64) []float64 {
+func addVec[T uint64 | float64](a, b []T) []T {
 	for len(a) < len(b) {
 		a = append(a, 0)
 	}
@@ -1186,8 +1149,8 @@ func (e *Engine) submit(req Request, opt SubmitOptions, abandonable bool) (*Job,
 	if err != nil {
 		return nil, err
 	}
-	if opt.Deadline.IsZero() && e.defaultDeadline > 0 {
-		opt.Deadline = e.now().Add(e.defaultDeadline)
+	if opt.Deadline.IsZero() && e.cfg.DefaultDeadline > 0 {
+		opt.Deadline = e.now().Add(e.cfg.DefaultDeadline)
 	}
 	sh := e.shardFor(key)
 	sh.mu.Lock()
@@ -1226,8 +1189,7 @@ func (e *Engine) SubmitWait(ctx context.Context, req Request, opt SubmitOptions)
 	case <-ctx.Done():
 		h.mu.Lock()
 		j.waiters--
-		if j.waiters == 0 && !j.pinned && j.runCancel != nil &&
-			(j.state == JobQueued || j.state == JobRunning) {
+		if j.waiters == 0 && !j.pinned && (j.state == JobQueued || j.state == JobRunning) {
 			j.runCancel(ErrAbandoned)
 		}
 		h.mu.Unlock()
@@ -1263,7 +1225,7 @@ func (e *Engine) submitLocked(sh *shard, key string, req Request, opt SubmitOpti
 		// Poisoned input: permanently failed, never re-enqueued.
 		return j, false, nil
 	}
-	if data, ok := e.cache.Get(key); ok {
+	if data, ok := e.cfg.Cache.Get(key); ok {
 		if j, ok := sh.jobs[key]; ok && j.state == JobDone && j.cached {
 			// Repeat hit: results are deterministic, so the bytes are the
 			// job's bytes — reuse it instead of allocating a twin.
@@ -1320,8 +1282,8 @@ func (e *Engine) SubmitBatchOpts(breq BatchRequest, opt SubmitOptions) (*Batch, 
 	if err != nil {
 		return nil, err
 	}
-	if opt.Deadline.IsZero() && e.defaultDeadline > 0 {
-		opt.Deadline = e.now().Add(e.defaultDeadline)
+	if opt.Deadline.IsZero() && e.cfg.DefaultDeadline > 0 {
+		opt.Deadline = e.now().Add(e.cfg.DefaultDeadline)
 	}
 	spec, cells, err := breq.Cells()
 	if err != nil {
@@ -1365,7 +1327,7 @@ func (e *Engine) SubmitBatchOpts(breq BatchRequest, opt SubmitOptions) (*Batch, 
 		sh := e.shardFor(keys[i])
 		j, known := sh.jobs[keys[i]]
 		inFlight := known && j.state != JobFailed
-		if !inFlight && !e.cache.Contains(keys[i]) {
+		if !inFlight && !e.cfg.Cache.Contains(keys[i]) {
 			need++
 		}
 	}
@@ -1438,7 +1400,7 @@ func (e *Engine) Job(key string) (JobStatus, bool) {
 	if !isKey(key) {
 		return JobStatus{}, false
 	}
-	if data, ok := e.cache.Get(key); ok {
+	if data, ok := e.cfg.Cache.Get(key); ok {
 		return JobStatus{Key: key, State: JobDone, Cached: true, Result: data}, true
 	}
 	return JobStatus{}, false
@@ -1613,11 +1575,12 @@ func (e *Engine) RunMatrix(ctx context.Context, spec experiments.Spec, w io.Writ
 // Metrics returns the engine counter snapshot, folding the per-worker
 // and per-shard accumulators — the only place they are combined.
 func (e *Engine) Metrics() Metrics {
-	cs := e.cache.Stats()
+	cs := e.cfg.Cache.Stats()
 	up := time.Since(e.start).Seconds()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	ready, _ := e.Ready()
+	health := e.healthMetrics()
+	ready, _ := e.readiness(HealthState(health.State))
 
 	m := Metrics{
 		UptimeSeconds:     up,
@@ -1631,7 +1594,7 @@ func (e *Engine) Metrics() Metrics {
 		QueueWaitEWMAMS:   float64(e.latencyEWMA()) / float64(time.Millisecond),
 		CacheBreaker:      e.cbrk.Snapshot(),
 		JournalBreaker:    e.jbrk.Snapshot(),
-		Health:            e.healthMetrics(),
+		Health:            health,
 		CacheHits:         cs.Hits,
 		CacheMisses:       cs.Misses,
 		CacheEntries:      cs.Entries,
@@ -1660,9 +1623,8 @@ func (e *Engine) Metrics() Metrics {
 	m.JobsDeduped += e.batchDeduped
 	e.batchMu.Unlock()
 
-	var utilN uint64
-	utilSum := UtilizationMetrics{}
-	mcSum := MulticoreMetrics{}
+	var util UtilizationMetrics
+	var mc MulticoreMetrics
 	var mcCoreN []uint64
 	for _, w := range e.workers {
 		w.statsMu.Lock()
@@ -1676,47 +1638,25 @@ func (e *Engine) Metrics() Metrics {
 		m.JobsShedExpired += st.shedExpired
 		m.JobsClientAbandoned += st.abandoned
 		m.JobsWatchdogFired += st.watchdog
-		utilN += st.utilN
-		for h := 0; h < 2; h++ {
-			utilSum.IntQHalfOcc[h] += st.utilSum.IntQHalfOcc[h]
-			utilSum.FPQHalfOcc[h] += st.utilSum.FPQHalfOcc[h]
-		}
-		utilSum.ALUGrantShare = addVec(utilSum.ALUGrantShare, st.utilSum.ALUGrantShare)
-		utilSum.RFReadShare = addVec(utilSum.RFReadShare, st.utilSum.RFReadShare)
-		mcSum.Runs += st.mcSum.Runs
-		mcSum.CoolingStalls += st.mcSum.CoolingStalls
-		mcSum.Migrations += st.mcSum.Migrations
-		for len(mcCoreN) < len(st.mcCoreN) {
-			mcCoreN = append(mcCoreN, 0)
-			mcSum.CoreUtilization = append(mcSum.CoreUtilization, 0)
-			mcSum.CoreAvgTempK = append(mcSum.CoreAvgTempK, 0)
-			mcSum.CorePeakTempK = append(mcSum.CorePeakTempK, 0)
-		}
-		for i, n := range st.mcCoreN {
-			mcCoreN[i] += n
-			mcSum.CoreUtilization[i] += st.mcSum.CoreUtilization[i]
-			mcSum.CoreAvgTempK[i] += st.mcSum.CoreAvgTempK[i]
-			if st.mcSum.CorePeakTempK[i] > mcSum.CorePeakTempK[i] {
-				mcSum.CorePeakTempK[i] = st.mcSum.CorePeakTempK[i]
-			}
-		}
+		addUtilization(&util, st.util)
+		addMulticore(&mc, &mcCoreN, st.mc, st.mcCoreN)
 		w.statsMu.Unlock()
 	}
 	if up > 0 {
 		m.CellsPerSecond = float64(m.JobsCompleted) / up
 	}
-	m.Utilization = utilizationSnapshot(utilN, utilSum)
-	m.Multicore = multicoreSnapshot(mcSum, mcCoreN)
+	m.Utilization = utilizationSnapshot(util)
+	m.Multicore = multicoreSnapshot(mc, mcCoreN)
 	return m
 }
 
 // utilizationSnapshot averages the folded per-cell telemetry.
-func utilizationSnapshot(utilN uint64, sum UtilizationMetrics) UtilizationMetrics {
-	out := UtilizationMetrics{Cells: utilN}
-	if utilN == 0 {
+func utilizationSnapshot(sum UtilizationMetrics) UtilizationMetrics {
+	out := UtilizationMetrics{Cells: sum.Cells}
+	if sum.Cells == 0 {
 		return out
 	}
-	n := float64(utilN)
+	n := float64(sum.Cells)
 	for h := 0; h < 2; h++ {
 		out.IntQHalfOcc[h] = sum.IntQHalfOcc[h] / n
 		out.FPQHalfOcc[h] = sum.FPQHalfOcc[h] / n
@@ -1779,12 +1719,12 @@ const (
 // so one burst does not flap /readyz per request.
 func (e *Engine) evalHealth() HealthState {
 	switch {
-	case e.closing.Load() || e.draining.Load():
+	case e.closed.Load() || e.draining.Load():
 		return HealthDraining
 	case !e.replayed.Load():
 		return HealthOverloaded
 	}
-	if last := e.lastReject.Load(); last != 0 && e.now().UnixNano()-last < int64(e.overloadHold) {
+	if last := e.lastReject.Load(); last != 0 && e.now().UnixNano()-last < int64(e.cfg.OverloadHold) {
 		return HealthOverloaded
 	}
 	if e.cbrk.State() != BreakerClosed || e.jbrk.State() != BreakerClosed {
@@ -1825,7 +1765,13 @@ func (e *Engine) healthMetrics() HealthMetrics {
 // overloaded and draining fail the readiness probe. The HTTP /readyz
 // endpoint serves this.
 func (e *Engine) Ready() (bool, string) {
-	switch state, _ := e.Health(); state {
+	state, _ := e.Health()
+	return e.readiness(state)
+}
+
+// readiness is the Ready verdict for health state s.
+func (e *Engine) readiness(s HealthState) (bool, string) {
+	switch s {
 	case HealthDraining:
 		return false, "draining"
 	case HealthOverloaded:
@@ -1844,7 +1790,7 @@ func (e *Engine) Ready() (bool, string) {
 // engine re-journals outstanding state when the disk recovers).
 func (e *Engine) durability() string {
 	switch {
-	case e.journal == nil:
+	case e.cfg.Journal == nil:
 		return "off"
 	case e.jbrk.State() != BreakerClosed:
 		return "none"
@@ -1882,42 +1828,35 @@ type Statusz struct {
 	UptimeSeconds       float64 `json:"uptime_seconds"`
 }
 
-// Statusz returns the degraded-mode snapshot served at /statusz.
+// Statusz returns the degraded-mode snapshot served at /statusz: one
+// Metrics snapshot projected, plus the configuration it runs under.
 func (e *Engine) Statusz() Statusz {
-	hm := e.healthMetrics()
-	ready, reason := e.Ready()
-	var shed, abandoned, watchdog uint64
-	for _, w := range e.workers {
-		w.statsMu.Lock()
-		shed += w.stats.shedExpired
-		abandoned += w.stats.abandoned
-		watchdog += w.stats.watchdog
-		w.statsMu.Unlock()
-	}
+	m := e.Metrics()
+	_, reason := e.readiness(HealthState(m.Health.State))
 	return Statusz{
-		State:          hm.State,
-		SinceSeconds:   hm.SinceSeconds,
-		Entered:        hm.Entered,
-		Ready:          ready,
+		State:          m.Health.State,
+		SinceSeconds:   m.Health.SinceSeconds,
+		Entered:        m.Health.Entered,
+		Ready:          m.Ready,
 		Reason:         reason,
-		Durability:     e.durability(),
-		CacheDegraded:  e.cbrk.State() != BreakerClosed,
-		CacheBreaker:   e.cbrk.Snapshot(),
-		JournalBreaker: e.jbrk.Snapshot(),
+		Durability:     m.Durability,
+		CacheDegraded:  m.CacheDegraded != 0,
+		CacheBreaker:   m.CacheBreaker,
+		JournalBreaker: m.JournalBreaker,
 
-		QueueDepth:        int(e.queued.Load()),
-		QueueCapacity:     e.depth,
-		QueueWaitEWMAMS:   float64(e.latencyEWMA()) / float64(time.Millisecond),
+		QueueDepth:        m.JobsQueued,
+		QueueCapacity:     e.cfg.QueueDepth,
+		QueueWaitEWMAMS:   m.QueueWaitEWMAMS,
 		RetryAfterSeconds: e.RetryAfterSeconds(),
-		DefaultDeadlineMS: e.defaultDeadline.Milliseconds(),
-		WatchdogMS:        e.watchdog.Milliseconds(),
+		DefaultDeadlineMS: e.cfg.DefaultDeadline.Milliseconds(),
+		WatchdogMS:        e.cfg.Watchdog.Milliseconds(),
 
-		JobsShedExpired:     shed,
-		JobsShedAdmission:   e.shedAdmission.Load(),
-		JobsClientAbandoned: abandoned,
-		JobsWatchdogFired:   watchdog,
-		JournalSkipped:      e.journalSkipped.Load(),
-		UptimeSeconds:       time.Since(e.start).Seconds(),
+		JobsShedExpired:     m.JobsShedExpired,
+		JobsShedAdmission:   m.JobsShedAdmission,
+		JobsClientAbandoned: m.JobsClientAbandoned,
+		JobsWatchdogFired:   m.JobsWatchdogFired,
+		JournalSkipped:      m.JournalSkipped,
+		UptimeSeconds:       m.UptimeSeconds,
 	}
 }
 
@@ -1940,7 +1879,6 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	e.closing.Store(true)
 	e.draining.Store(true)
 	// Fence: a submitter past the closed check holds its shard lock
 	// until its job is enqueued, so after one lock/unlock round every
@@ -1952,24 +1890,19 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	}
 	close(e.stopCh)
 
-	done := make(chan struct{})
-	go func() {
-		e.wg.Wait()
-		close(done)
-	}()
+	// At ctx's deadline, cancel the base context: in-flight runs end
+	// with ErrShutdown at their next sensor interval.
+	stop := context.AfterFunc(ctx, func() { e.cancel(ErrShutdown) })
+	e.wg.Wait()
 	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
+	if !stop() {
 		err = ctx.Err()
-		e.cancel() // abort in-flight runs
-		<-done
 	}
-	e.cancel()
+	e.cancel(ErrShutdown)
 	// Workers are parked, so every journal append has happened; flush
 	// them to stable storage before reporting the engine stopped.
-	if e.journal != nil {
-		if cerr := e.journal.Close(); cerr != nil {
+	if e.cfg.Journal != nil {
+		if cerr := e.cfg.Journal.Close(); cerr != nil {
 			e.journalErrs.Add(1)
 		}
 	}

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -395,9 +393,8 @@ func mustKey(t *testing.T, r Request) string {
 }
 
 // TestJitterSeedDeterministic pins the per-worker jitter derivation:
-// the same (seed, worker) pair always yields the same stream, distinct
-// workers get decorrelated streams, and the engine threads
-// EngineConfig.JitterSeed through to the workers it builds.
+// the same (seed, worker) pair always yields the same stream, and
+// distinct workers get decorrelated streams.
 func TestJitterSeedDeterministic(t *testing.T) {
 	draw := func(seed uint64, worker, n int) []uint64 {
 		src := rng.New(jitterSeed(seed, worker))
@@ -422,34 +419,6 @@ func TestJitterSeedDeterministic(t *testing.T) {
 	}
 	if same == len(a) {
 		t.Fatal("workers 0 and 1 share a jitter stream")
-	}
-}
-
-// TestEngineJitterSeedThreaded asserts the config seed reaches the
-// worker rngs: two engines with the same seed produce identical
-// per-worker first draws, a different seed produces a different one.
-func TestEngineJitterSeedThreaded(t *testing.T) {
-	build := func(seed uint64) []uint64 {
-		e := NewEngine(EngineConfig{Workers: 3, JitterSeed: seed,
-			runFunc: func(ctx context.Context, req Request) ([]byte, error) {
-				return stubResultJSON(req.Benchmark), nil
-			}})
-		defer shutdownEngine(t, e)
-		out := make([]uint64, len(e.workers))
-		for i, w := range e.workers {
-			out[i] = w.rng.Uint64()
-		}
-		return out
-	}
-	a, b, c := build(7), build(7), build(8)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Errorf("same JitterSeed produced different worker streams: %v vs %v", a, b)
-	}
-	if fmt.Sprint(a) == fmt.Sprint(c) {
-		t.Errorf("different JitterSeed produced identical worker streams: %v", a)
-	}
-	if strings.Count(fmt.Sprint(a), " ") != 2 {
-		t.Fatalf("expected 3 worker streams, got %v", a)
 	}
 }
 

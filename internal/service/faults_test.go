@@ -22,7 +22,6 @@ func stubResult(bench string) []byte {
 // milliseconds.
 func fastRetries(cfg EngineConfig) EngineConfig {
 	cfg.RetryBase = time.Millisecond
-	cfg.RetryMax = 4 * time.Millisecond
 	return cfg
 }
 

@@ -86,19 +86,18 @@ type workerStats struct {
 	panics      uint64
 	quarantined uint64
 	stolen      uint64
-	shedExpired uint64 // deadline passed before/between attempts
+	shedExpired uint64 // client deadline passed before the job completed
 	abandoned   uint64 // sole synchronous waiter disconnected
 	watchdog    uint64 // attempts force-failed for lack of progress
 
-	utilN   uint64
-	utilSum UtilizationMetrics
-	mcSum   MulticoreMetrics
-	mcCoreN []uint64
+	util    UtilizationMetrics // sums over the cells this worker simulated
+	mc      MulticoreMetrics   // sums over its multicore runs, peaks as maxima
+	mcCoreN []uint64           // its multicore runs per core
 }
 
-// jitterSeed derives worker i's retry-jitter stream from the engine
-// seed: the golden-ratio multiply decorrelates consecutive workers and
-// rng.New diffuses the result through splitmix64 (the same derivation
+// jitterSeed derives worker i's retry-jitter stream from a seed: the
+// golden-ratio multiply decorrelates consecutive workers and rng.New
+// diffuses the result through splitmix64 (the same derivation
 // discipline as multicore's per-core streams). Deterministic by
 // construction: the same (seed, worker) pair always yields the same
 // jitter sequence.
@@ -106,10 +105,9 @@ func jitterSeed(seed uint64, worker int) uint64 {
 	return seed ^ 0x9e3779b97f4a7c15*uint64(worker+1)
 }
 
-// defaultJitterSeed seeds the per-worker retry-jitter rngs when
-// EngineConfig.JitterSeed is zero. Jitter needs decorrelation, not
-// entropy, so a fixed seed is fine — and keeps backoff schedules
-// reproducible in tests.
+// defaultJitterSeed seeds the per-worker retry-jitter rngs. Jitter
+// needs decorrelation, not entropy, so a fixed seed is fine — and keeps
+// backoff schedules reproducible in tests.
 const defaultJitterSeed = 0x70697065746864 // "pipethd"
 
 // shardFor hashes a job key onto its home shard with FNV-1a over at
@@ -159,29 +157,12 @@ func (e *Engine) worker(id int) {
 			w.stats.stolen++
 			w.statsMu.Unlock()
 		}
-		if e.closing.Load() {
-			// Graceful shutdown drains *running* jobs; queued ones fail
-			// fast so clients can resubmit elsewhere.
-			e.finish(id, j, nil, ErrShutdown)
-			continue
-		}
-		// Shed before running: a job whose client gave up — deadline
-		// passed in the queue, or its only waiter disconnected — is
-		// failed in O(1) instead of burning a worker on it.
-		if e.jobAbandoned(j) {
-			w := e.workers[id]
-			w.statsMu.Lock()
-			w.stats.abandoned++
-			w.statsMu.Unlock()
-			e.finish(id, j, nil, ErrAbandoned)
-			continue
-		}
-		if e.jobExpired(j) {
-			w := e.workers[id]
-			w.statsMu.Lock()
-			w.stats.shedExpired++
-			w.statsMu.Unlock()
-			e.finish(id, j, nil, ErrDeadlineExpired)
+		// Graceful shutdown drains *running* jobs; queued ones fail fast
+		// so clients can resubmit elsewhere. A job whose client gave up —
+		// its only waiter disconnected, or its deadline passed in the
+		// queue — is shed in O(1) instead of burning a worker on it.
+		if err := e.stopReason(j); err != nil {
+			e.finish(id, j, nil, err)
 			continue
 		}
 		e.runJob(id, j)
@@ -238,7 +219,7 @@ func (e *Engine) reserveSlots(n int) bool {
 	}
 	for {
 		cur := e.queued.Load()
-		if int(cur)+n > e.depth {
+		if int(cur)+n > e.cfg.QueueDepth {
 			return false
 		}
 		if e.queued.CompareAndSwap(cur, cur+int64(n)) {
@@ -277,21 +258,24 @@ func (e *Engine) failQueued(id int) {
 	}
 }
 
+// retryMax caps the retry backoff delay.
+const retryMax = 2 * time.Second
+
 // backoff sleeps the exponential-backoff delay for attempt (0-based)
-// with jitter in [d/2, d] drawn from the worker's own rng, returning
-// false if the engine shut down while sleeping.
-func (e *Engine) backoff(id int, attempt int) bool {
-	d := e.retryBase << uint(attempt)
-	if d <= 0 || d > e.retryMax {
-		d = e.retryMax
+// with jitter in [d/2, d] drawn from the worker's own rng. It wakes
+// early when the job's run context ends (runDone) or Shutdown begins;
+// the stop check that follows it says why.
+func (e *Engine) backoff(id int, attempt int, runDone <-chan struct{}) {
+	d := e.cfg.RetryBase << uint(attempt)
+	if d <= 0 || d > retryMax {
+		d = retryMax
 	}
 	d = d/2 + time.Duration(e.workers[id].rng.Intn(int(d/2)+1))
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
-	case <-e.baseCtx.Done():
-		return false
+	case <-runDone:
+	case <-e.stopCh:
 	}
 }
