@@ -12,16 +12,9 @@
 // while the observable semantics (single-flight, 429 at QueueDepth,
 // all-or-nothing batch admission, journal ordering) are unchanged.
 //
-// Fault tolerance: every job attempt runs under recover(), so a
-// panicking cell fails only that job (the stack lands in
-// JobStatus.Error) while the workers keep serving; a key that keeps
-// panicking is quarantined — failed permanently, never retried — after
-// QuarantineAfter attempts; transient failures (job timeout, injected
-// I/O errors) retry with exponential backoff and per-worker-rng jitter
-// up to MaxRetries; and with a journal attached, submit/done/failed
-// transitions are WAL-logged so queued and interrupted jobs survive a
-// crash and are replayed on the next start (see DESIGN.md, "Failure
-// model and recovery").
+// This file holds the engine's types, NewEngine, the job and batch
+// queries, and Shutdown; admission.go, run.go, durability.go and
+// health.go hold the rest, by concern.
 package service
 
 import (
@@ -30,19 +23,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
-	"repro/internal/multicore"
 	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -249,105 +236,6 @@ type EngineConfig struct {
 	runFunc func(ctx context.Context, req Request) ([]byte, error)
 }
 
-// Metrics is the engine's counter snapshot, served at /metrics.
-type Metrics struct {
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	JobsQueued      int     `json:"jobs_queued"`
-	JobsRunning     int     `json:"jobs_running"`
-	JobsCompleted   uint64  `json:"jobs_completed"`
-	JobsFailed      uint64  `json:"jobs_failed"`
-	JobsDeduped     uint64  `json:"jobs_deduped"`
-	JobsRetried     uint64  `json:"jobs_retried"`
-	JobPanics       uint64  `json:"job_panics"`
-	JobsQuarantined uint64  `json:"jobs_quarantined"`
-	JobsStolen      uint64  `json:"jobs_stolen"`
-	JournalErrors   uint64  `json:"journal_errors"`
-	Ready           bool    `json:"ready"`
-
-	// Overload-protection counters and gauges (see DESIGN.md,
-	// "Overload and degraded modes").
-	JobsShedExpired     uint64          `json:"jobs_shed_expired"`
-	JobsShedAdmission   uint64          `json:"jobs_shed_admission"`
-	JobsClientAbandoned uint64          `json:"jobs_client_abandoned"`
-	JobsWatchdogFired   uint64          `json:"jobs_watchdog_fired"`
-	JournalSkipped      uint64          `json:"journal_skipped"`
-	CacheDegraded       int             `json:"cache_degraded"`
-	Durability          string          `json:"durability"` // journaled | none | off
-	QueueWaitEWMAMS     float64         `json:"queue_wait_ewma_ms"`
-	CacheBreaker        BreakerSnapshot `json:"cache_breaker"`
-	JournalBreaker      BreakerSnapshot `json:"journal_breaker"`
-	Health              HealthMetrics   `json:"health"`
-
-	CacheHits      uint64         `json:"cache_hits"`
-	CacheMisses    uint64         `json:"cache_misses"`
-	CacheEntries   int            `json:"cache_entries"`
-	CellsPerSecond float64        `json:"cells_per_second"`
-	Cache          CacheStats     `json:"cache"`
-	Shards         []ShardMetrics `json:"shards"`
-
-	// Runtime is the Go runtime health section: memory, GC, and
-	// goroutine gauges for the serving process.
-	Runtime RuntimeMetrics `json:"runtime"`
-	// Utilization averages the per-cell pipeline utilization telemetry
-	// over every cell this process simulated (cache hits are excluded:
-	// their telemetry was accounted when they were first computed,
-	// possibly by an earlier process sharing the cache directory).
-	Utilization UtilizationMetrics `json:"utilization"`
-	// Multicore aggregates the multi-core scheduling runs this process
-	// computed, with the same cache-hit exclusion as Utilization.
-	Multicore MulticoreMetrics `json:"multicore"`
-}
-
-// ShardMetrics is one dispatcher shard's gauge slice of /metrics.
-type ShardMetrics struct {
-	QueueDepth int `json:"queue_depth"`
-}
-
-// HealthMetrics is the health-state-machine section of /metrics: the
-// current state, how long it has held, and how many times each state
-// has been entered since the process started.
-type HealthMetrics struct {
-	State        string            `json:"state"`
-	SinceSeconds float64           `json:"since_seconds"`
-	Entered      map[string]uint64 `json:"entered"`
-}
-
-// RuntimeMetrics is the Go runtime section of /metrics.
-type RuntimeMetrics struct {
-	Goroutines      int     `json:"goroutines"`
-	NumCPU          int     `json:"num_cpu"`
-	HeapAllocBytes  uint64  `json:"heap_alloc_bytes"`
-	HeapSysBytes    uint64  `json:"heap_sys_bytes"`
-	TotalAllocBytes uint64  `json:"total_alloc_bytes"`
-	GCCycles        uint32  `json:"gc_cycles"`
-	GCPauseTotalMS  float64 `json:"gc_pause_total_ms"`
-}
-
-// UtilizationMetrics is the mean of sim results' Utilization over the
-// cells this engine simulated. Share vectors are element-wise means, so
-// they still sum to ~1 when every cell had activity.
-type UtilizationMetrics struct {
-	Cells         uint64     `json:"cells"`
-	IntQHalfOcc   [2]float64 `json:"intq_half_occupancy"`
-	FPQHalfOcc    [2]float64 `json:"fpq_half_occupancy"`
-	ALUGrantShare []float64  `json:"alu_grant_share"`
-	RFReadShare   []float64  `json:"rf_read_share"`
-}
-
-// MulticoreMetrics aggregates the multi-core scheduling runs this
-// engine computed. Per-core vectors are indexed by core id and sized to
-// the widest run seen: utilization and average temperature are means
-// over the runs that had that core, peak temperature is the running
-// maximum.
-type MulticoreMetrics struct {
-	Runs            uint64    `json:"runs"`
-	CoolingStalls   uint64    `json:"cooling_stalls"`
-	Migrations      uint64    `json:"migrations"`
-	CoreUtilization []float64 `json:"core_utilization,omitempty"`
-	CoreAvgTempK    []float64 `json:"core_avg_temp_k,omitempty"`
-	CorePeakTempK   []float64 `json:"core_peak_temp_k,omitempty"`
-}
-
 // Engine runs jobs. Create with NewEngine, stop with Shutdown.
 type Engine struct {
 	cfg EngineConfig // normalized by NewEngine: every default applied
@@ -496,893 +384,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 		go e.maintain()
 	}
 	return e
-}
-
-// recoverJournal restores journaled state: quarantine markers become
-// quarantined jobs, the log is compacted to the live set, and pending
-// submits are resubmitted in the background (readiness is withheld
-// until they are all enqueued; their results then arrive through the
-// normal worker/cache path).
-func (e *Engine) recoverJournal(recs []journal.Record) {
-	if e.cfg.Journal == nil {
-		return
-	}
-	pending, quarantined := journal.Pending(recs)
-	for _, rec := range quarantined {
-		var req Request
-		json.Unmarshal(rec.Req, &req) // best-effort: old markers may lack the request
-		sh := e.shardFor(rec.Key)
-		j := &Job{Key: rec.Key, Req: req, home: sh, state: JobQuarantined,
-			err: errors.New(rec.Err), panics: e.cfg.QuarantineAfter, done: closedDone}
-		sh.mu.Lock()
-		sh.jobs[rec.Key] = j
-		sh.panicCounts[rec.Key] = e.cfg.QuarantineAfter
-		sh.mu.Unlock()
-	}
-	compact := append(append([]journal.Record{}, quarantined...), pending...)
-	if err := e.cfg.Journal.Rewrite(compact); err != nil {
-		// Startup compaction failing (disk full) degrades durability, it
-		// never blocks startup: the breaker sees the failure and the
-		// maintenance loop retries once the disk recovers.
-		e.journalErrs.Add(1)
-		e.jbrk.Record(0, err)
-	}
-	if len(pending) > 0 {
-		e.replayed.Store(false)
-		go e.replayPending(pending)
-	}
-}
-
-// replayPending resubmits journaled pending jobs. A full queue blocks
-// on the capacity-freed signal rather than polling, so recovered work
-// admits the moment a slot opens and /readyz flips as soon as the last
-// replay lands.
-func (e *Engine) replayPending(pending []journal.Record) {
-	defer e.replayed.Store(true)
-	for _, rec := range pending {
-		var req Request
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			continue // unreadable request: nothing to replay
-		}
-		for {
-			j, err := e.Submit(req)
-			if err == nil {
-				// Replay-from-cache: the run completed before the crash
-				// but its done record was lost; settle the journal now.
-				st := j.snapshot()
-				if st.State == JobDone && st.Cached {
-					e.journalAppend(journal.Record{Op: journal.OpDone, Key: j.Key})
-				}
-				break
-			}
-			if !errors.Is(err, ErrQueueFull) {
-				break // invalid under current config, or engine shut down
-			}
-			select {
-			case <-e.spaceCh:
-			case <-e.baseCtx.Done():
-				return
-			}
-		}
-	}
-}
-
-// journalAppend WAL-logs one transition. Journal failures degrade
-// durability, not availability: they are counted, never fatal. The
-// journal breaker turns a run of failures into durability=none mode —
-// appends are skipped (counted in journal_skipped) instead of paying a
-// failing, possibly slow syscall per transition — and the breaker
-// closing again triggers a re-journal of all outstanding state.
-// Returns whether the record actually reached the WAL.
-func (e *Engine) journalAppend(r journal.Record) bool {
-	if e.cfg.Journal == nil {
-		return false
-	}
-	if !e.jbrk.Allow() {
-		e.journalSkipped.Add(1)
-		return false
-	}
-	start := e.now()
-	err := e.cfg.Journal.Append(r)
-	if err != nil {
-		e.journalErrs.Add(1)
-	}
-	if e.jbrk.Record(e.now().Sub(start), err) {
-		go e.rejournal()
-	}
-	return err == nil
-}
-
-// maintain is the engine's background recovery loop: while the journal
-// breaker is open it periodically probes the disk with a no-op note
-// append, and on success re-journals outstanding state — so a daemon
-// whose disk comes back recovers journaled durability on its own, with
-// no traffic required.
-func (e *Engine) maintain() {
-	defer e.wg.Done()
-	t := time.NewTicker(200 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-t.C:
-			if e.jbrk.State() == BreakerClosed || !e.jbrk.Allow() {
-				continue
-			}
-			start := e.now()
-			err := e.cfg.Journal.Append(journal.Record{Op: journal.OpNote, Key: "breaker-probe"})
-			if err != nil {
-				e.journalErrs.Add(1)
-			}
-			if e.jbrk.Record(e.now().Sub(start), err) {
-				e.rejournal()
-			}
-		}
-	}
-}
-
-// rejournal compacts the WAL back to the live job set — the recovery
-// step after a stretch of durability=none, when the on-disk log is
-// missing every transition that happened while the breaker was open.
-// It rewrites pending submits and quarantine markers from the in-memory
-// truth; settled jobs simply vanish from the log, exactly as compaction
-// would have left them. Holding every shard lock across the rewrite
-// keeps concurrent appends from landing in the pre-compaction file and
-// being lost by the rename.
-func (e *Engine) rejournal() {
-	if e.cfg.Journal == nil || !e.rejournalMu.TryLock() {
-		return
-	}
-	defer e.rejournalMu.Unlock()
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-	}
-	var recs []journal.Record
-	for _, sh := range e.shards {
-		for key, j := range sh.jobs {
-			switch j.state {
-			case JobQueued, JobRunning:
-				rec := journal.Record{Op: journal.OpSubmit, Key: key}
-				if c, err := j.Req.Canonical(); err == nil {
-					rec.Req = c
-				}
-				recs = append(recs, rec)
-			case JobQuarantined:
-				rec := journal.Record{Op: journal.OpQuarantined, Key: key}
-				if j.err != nil {
-					rec.Err = j.err.Error()
-				}
-				if c, err := j.Req.Canonical(); err == nil {
-					rec.Req = c
-				}
-				recs = append(recs, rec)
-			}
-		}
-	}
-	sort.Slice(recs, func(i, k int) bool { return recs[i].Key < recs[k].Key })
-	start := e.now()
-	err := e.cfg.Journal.Rewrite(recs)
-	for _, sh := range e.shards {
-		sh.mu.Unlock()
-	}
-	if err != nil {
-		e.journalErrs.Add(1)
-	}
-	e.jbrk.Record(e.now().Sub(start), err)
-}
-
-// runJob runs a dispatched job to a terminal state. Panics and transient
-// failures retry; any other error, every stop cause included, fails it.
-func (e *Engine) runJob(id int, j *Job) {
-	h := j.home
-	h.mu.Lock()
-	j.state = JobRunning
-	runCtx := j.runCtx // only a queued job is ever revived with a new one
-	h.mu.Unlock()
-	e.running.Add(1)
-	defer e.running.Add(-1)
-
-	w := e.workers[id]
-	for attempt := 0; ; attempt++ {
-		// Asked again after every backoff, which wakes early on a stop.
-		if err := e.stopReason(j); err != nil {
-			e.finish(id, j, nil, err)
-			return
-		}
-		if attempt > 0 {
-			w.statsMu.Lock()
-			w.stats.retries++
-			w.statsMu.Unlock()
-		}
-		h.mu.Lock()
-		j.attempts = attempt + 1
-		h.mu.Unlock()
-		astart := e.now()
-		data, err := e.attempt(runCtx, j)
-		e.noteLatency(e.now().Sub(astart))
-		var pe *panicError
-		switch {
-		case err == nil:
-			e.cfg.Cache.Put(j.Key, data)
-			e.finish(id, j, data, nil)
-			return
-		case errors.As(err, &pe):
-			// A panic fails only this job; the worker survives. The
-			// per-key counter quarantines deterministic crashers instead
-			// of retrying them forever.
-			w.statsMu.Lock()
-			w.stats.panics++
-			w.statsMu.Unlock()
-			h.mu.Lock()
-			j.panics++
-			h.panicCounts[j.Key]++
-			n := h.panicCounts[j.Key]
-			h.mu.Unlock()
-			if n >= e.cfg.QuarantineAfter {
-				e.quarantine(id, j, err)
-				return
-			}
-		case errors.Is(err, errJobTimeout) || errors.Is(err, faultinject.ErrIO):
-			// Transient. Simulator and validation errors are
-			// deterministic, so retrying them would be waste.
-			if attempt >= e.cfg.MaxRetries {
-				e.finish(id, j, nil, fmt.Errorf("after %d attempts: %w", attempt+1, err))
-				return
-			}
-		default:
-			e.finish(id, j, nil, err)
-			return
-		}
-		e.backoff(id, attempt, runCtx.Done())
-	}
-}
-
-// stopReason says why job j must not start an attempt, or nil:
-// ErrShutdown once Shutdown has begun, ErrAbandoned when its last waiter
-// left, ErrDeadlineExpired once its client deadline passed on the engine
-// clock. An abandoned job still queued that a new waiter or a pinned
-// submitter joined is revived with a fresh run context instead.
-func (e *Engine) stopReason(j *Job) error {
-	if e.closed.Load() {
-		return ErrShutdown
-	}
-	h := j.home
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if context.Cause(j.runCtx) == ErrAbandoned {
-		if j.state != JobQueued || (j.waiters == 0 && !j.pinned) {
-			return ErrAbandoned
-		}
-		j.runCtx, j.runCancel = context.WithCancelCause(e.baseCtx)
-	}
-	if !j.deadline.IsZero() && e.now().After(j.deadline) {
-		return ErrDeadlineExpired
-	}
-	return nil
-}
-
-// attempt executes the job once under its attempt context. Outermost
-// first, it stacks: the job's run context ctx (cancelled with
-// ErrAbandoned when the last waiter leaves, and through the engine's
-// base context with ErrShutdown at the drain deadline), the client
-// deadline (ErrDeadlineExpired), the job timeout (errJobTimeout), and,
-// with the watchdog armed, a cancel the watchdog fires with ErrStuck.
-func (e *Engine) attempt(ctx context.Context, j *Job) ([]byte, error) {
-	h := j.home
-	h.mu.Lock()
-	deadline := j.deadline // joiners may move it between attempts
-	h.mu.Unlock()
-	var cancel context.CancelFunc
-	if !deadline.IsZero() {
-		ctx, cancel = context.WithDeadlineCause(ctx, deadline, ErrDeadlineExpired)
-		defer cancel()
-	}
-	if e.cfg.JobTimeout > 0 {
-		ctx, cancel = context.WithTimeoutCause(ctx, e.cfg.JobTimeout, errJobTimeout)
-		defer cancel()
-	}
-	if e.cfg.Watchdog > 0 {
-		return e.runWatched(ctx, j.Req)
-	}
-	return e.runGuarded(ctx, j.Req)
-}
-
-// runGuarded runs the cell once under recover(): a panicking run
-// (simulator bug, injected fault) becomes a *panicError carrying the
-// goroutine stack instead of killing the worker. An error returned
-// after ctx ended becomes ctx's cancellation cause.
-func (e *Engine) runGuarded(ctx context.Context, req Request) (data []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			data, err = nil, &panicError{val: r, stack: debug.Stack()}
-		}
-	}()
-	if err = e.cfg.Inject.Fire(faultinject.SiteJobRun); err == nil {
-		data, err = e.run(ctx, req)
-	}
-	if err != nil && ctx.Err() != nil {
-		err = context.Cause(ctx)
-	}
-	return data, err
-}
-
-// progressCtx is the watchdog's liveness tap: the simulator's interval
-// loop polls ctx.Err() once per sensor interval, so routing the
-// attempt's context through this wrapper turns every poll into a
-// progress tick — no hot-loop or stats-bus changes needed.
-type progressCtx struct {
-	context.Context
-	ticks *atomic.Uint64
-}
-
-func (p *progressCtx) Err() error {
-	p.ticks.Add(1)
-	return p.Context.Err()
-}
-
-func (p *progressCtx) Done() <-chan struct{} {
-	p.ticks.Add(1)
-	return p.Context.Done()
-}
-
-// runWatched executes the attempt on a child goroutine under a soft
-// watchdog: if the run neither finishes nor polls its context for a
-// full watchdog period, the watchdog cancels the run's context with
-// ErrStuck, fails the attempt with that verdict, and abandons the
-// wedged goroutine (its eventual result is dropped). A run that merely
-// takes long but keeps polling is never shot — the watchdog watches
-// progress, not duration.
-func (e *Engine) runWatched(ctx context.Context, req Request) ([]byte, error) {
-	ctx, stop := context.WithCancelCause(ctx)
-	defer stop(nil)
-	var (
-		ticks atomic.Uint64
-		data  []byte
-		err   error
-	)
-	done := make(chan struct{})
-	go func() {
-		data, err = e.runGuarded(&progressCtx{Context: ctx, ticks: &ticks}, req)
-		close(done)
-	}()
-	poll := e.cfg.Watchdog / 8
-	if poll < time.Millisecond {
-		poll = time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	last := ticks.Load()
-	lastProgress := e.now()
-	for {
-		select {
-		case <-done:
-			return data, err
-		case <-t.C:
-			if cur := ticks.Load(); cur != last {
-				last, lastProgress = cur, e.now()
-				continue
-			}
-			if e.now().Sub(lastProgress) >= e.cfg.Watchdog {
-				// The verdict stands even when an outer cause ended the
-				// context first: a run that ignored it is still stuck.
-				stuck := fmt.Errorf("%w after %s without progress", ErrStuck, e.cfg.Watchdog)
-				stop(stuck)
-				return nil, stuck
-			}
-		}
-	}
-}
-
-// noteLatency folds one attempt's wall-clock duration into the EWMA
-// (α = 0.2) that admission control multiplies by queue depth to
-// estimate wait time. Stored as float64 bits in an atomic, CAS-looped:
-// workers record concurrently and the submit path reads lock-free.
-func (e *Engine) noteLatency(d time.Duration) {
-	s := d.Seconds()
-	for {
-		old := e.latEWMA.Load()
-		next := s
-		if old != 0 {
-			next = 0.8*math.Float64frombits(old) + 0.2*s
-		}
-		if e.latEWMA.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// latencyEWMA returns the smoothed per-job latency, zero when no job
-// has completed an attempt yet.
-func (e *Engine) latencyEWMA() time.Duration {
-	return time.Duration(math.Float64frombits(e.latEWMA.Load()) * float64(time.Second))
-}
-
-// estimateWait is the admission-control wait estimate for a job landing
-// on shard sh: the jobs already queued there, each costing one EWMA
-// latency. Work stealing makes this pessimistic on idle siblings —
-// which is the right bias for a shedding decision.
-func (e *Engine) estimateWait(sh *shard) time.Duration {
-	return time.Duration(sh.qlen.Load()) * e.latencyEWMA()
-}
-
-// noteReject stamps the overload-hysteresis clock: the health state
-// machine reports overloaded for overloadHold after the last rejection.
-func (e *Engine) noteReject() {
-	e.lastReject.Store(e.now().UnixNano())
-}
-
-// RetryAfterSeconds is the Retry-After hint served with 429 responses:
-// the time to drain the current aggregate queue through all workers at
-// the observed per-job latency, rounded up, at least 1s.
-func (e *Engine) RetryAfterSeconds() int {
-	ewma := e.latencyEWMA()
-	if ewma <= 0 {
-		return 1
-	}
-	drain := time.Duration(e.queued.Load()) * ewma / time.Duration(len(e.workers))
-	secs := int((drain + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// Now returns the engine's current time through the injectable clock
-// seam — callers computing deadlines must use it so fake-clock tests
-// stay coherent.
-func (e *Engine) Now() time.Time { return e.now() }
-
-// panicError is a recovered worker panic in error form; the stack it
-// carries surfaces in JobStatus.Error.
-type panicError struct {
-	val   any
-	stack []byte
-}
-
-func (p *panicError) Error() string {
-	return fmt.Sprintf("job panicked: %v\n%s", p.val, p.stack)
-}
-
-// quarantine permanently fails a job whose key keeps panicking and
-// journals the poison marker so it survives restarts.
-func (e *Engine) quarantine(id int, j *Job, cause error) {
-	h := j.home
-	h.mu.Lock()
-	j.state = JobQuarantined
-	j.err = fmt.Errorf("quarantined after %d panics: %w", j.panics, cause)
-	msg := j.err.Error()
-	h.mu.Unlock()
-	w := e.workers[id]
-	w.statsMu.Lock()
-	w.stats.quarantined++
-	w.stats.failed++
-	w.statsMu.Unlock()
-	rec := journal.Record{Op: journal.OpQuarantined, Key: j.Key, Err: msg}
-	if c, err := j.Req.Canonical(); err == nil {
-		rec.Req = c
-	}
-	e.journalAppend(rec)
-	e.settle(j)
-}
-
-// settle releases a job's run context and closes its done channel —
-// the single exit point for quarantine and finish.
-func (e *Engine) settle(j *Job) {
-	h := j.home
-	h.mu.Lock()
-	j.runCancel(nil)
-	h.mu.Unlock()
-	close(j.done)
-}
-
-// finish settles a job done (err nil) or failed, counting failures by cause.
-func (e *Engine) finish(id int, j *Job, data []byte, err error) {
-	h := j.home
-	h.mu.Lock()
-	if err != nil {
-		j.state, j.err = JobFailed, err
-	} else {
-		j.state, j.resultJSON = JobDone, data
-	}
-	h.mu.Unlock()
-	w := e.workers[id]
-	journaled := false
-	if err != nil {
-		w.statsMu.Lock()
-		w.stats.failed++
-		switch {
-		case errors.Is(err, ErrDeadlineExpired):
-			w.stats.shedExpired++
-		case errors.Is(err, ErrAbandoned):
-			w.stats.abandoned++
-		case errors.Is(err, ErrStuck):
-			w.stats.watchdog++
-		}
-		w.statsMu.Unlock()
-		// Shutdown-interrupted jobs keep their pending journal record
-		// so the next start replays them; genuine failures are terminal.
-		if !errors.Is(err, ErrShutdown) && !e.closed.Load() {
-			journaled = e.journalAppend(journal.Record{Op: journal.OpFailed, Key: j.Key, Err: err.Error()})
-		} else {
-			journaled = true // intentionally left pending, not a durability gap
-		}
-	} else {
-		journaled = e.journalAppend(journal.Record{Op: journal.OpDone, Key: j.Key})
-		w.statsMu.Lock()
-		w.stats.completed++
-		if j.Req.Multicore != nil {
-			var r multicore.Result
-			if json.Unmarshal(data, &r) == nil {
-				run := MulticoreMetrics{Runs: 1, CoolingStalls: r.CoolingStalls, Migrations: uint64(r.Migrations)}
-				ones := make([]uint64, len(r.PerCore))
-				for i, c := range r.PerCore {
-					ones[i] = 1
-					run.CoreUtilization = append(run.CoreUtilization, c.Utilization)
-					run.CoreAvgTempK = append(run.CoreAvgTempK, c.AvgTempK)
-					run.CorePeakTempK = append(run.CorePeakTempK, c.PeakTempK)
-				}
-				addMulticore(&w.stats.mc, &w.stats.mcCoreN, run, ones)
-			}
-		} else {
-			var r sim.Result
-			if json.Unmarshal(data, &r) == nil {
-				u := r.Utilization
-				addUtilization(&w.stats.util, UtilizationMetrics{Cells: 1, IntQHalfOcc: u.IntQHalfOcc,
-					FPQHalfOcc: u.FPQHalfOcc, ALUGrantShare: u.ALUGrantShare, RFReadShare: u.RFReadShare})
-			}
-		}
-		w.statsMu.Unlock()
-	}
-	if e.cfg.Journal != nil && !journaled {
-		h.mu.Lock()
-		j.nonDurable = true
-		h.mu.Unlock()
-	}
-	e.settle(j)
-}
-
-// addUtilization adds the utilization sum src — one cell's telemetry,
-// or a worker's running sum — into the sum dst.
-func addUtilization(dst *UtilizationMetrics, src UtilizationMetrics) {
-	dst.Cells += src.Cells
-	for h := 0; h < 2; h++ {
-		dst.IntQHalfOcc[h] += src.IntQHalfOcc[h]
-		dst.FPQHalfOcc[h] += src.FPQHalfOcc[h]
-	}
-	dst.ALUGrantShare = addVec(dst.ALUGrantShare, src.ALUGrantShare)
-	dst.RFReadShare = addVec(dst.RFReadShare, src.RFReadShare)
-}
-
-// addMulticore adds the multicore sum src — one run, or a worker's
-// running sum — with per-core run counts srcN into the sum dst with
-// counts dstN. Peak temperatures fold as maxima.
-func addMulticore(dst *MulticoreMetrics, dstN *[]uint64, src MulticoreMetrics, srcN []uint64) {
-	dst.Runs += src.Runs
-	dst.CoolingStalls += src.CoolingStalls
-	dst.Migrations += src.Migrations
-	*dstN = addVec(*dstN, srcN)
-	dst.CoreUtilization = addVec(dst.CoreUtilization, src.CoreUtilization)
-	dst.CoreAvgTempK = addVec(dst.CoreAvgTempK, src.CoreAvgTempK)
-	for len(dst.CorePeakTempK) < len(src.CorePeakTempK) {
-		dst.CorePeakTempK = append(dst.CorePeakTempK, 0)
-	}
-	for i, p := range src.CorePeakTempK {
-		if p > dst.CorePeakTempK[i] {
-			dst.CorePeakTempK[i] = p
-		}
-	}
-}
-
-// addVec accumulates b into a element-wise, growing a as needed.
-func addVec[T uint64 | float64](a, b []T) []T {
-	for len(a) < len(b) {
-		a = append(a, 0)
-	}
-	for i, v := range b {
-		a[i] += v
-	}
-	return a
-}
-
-// runCell executes one simulation cell on config.Default() with the
-// request's plan/techniques — or one multi-core scheduling run when the
-// request carries the multicore shape — and returns the canonical
-// result JSON.
-func runCell(ctx context.Context, req Request) ([]byte, error) {
-	req = req.Normalize()
-	if req.Multicore != nil {
-		r, err := multicore.Run(ctx, *req.Multicore)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(r)
-	}
-	cfg := config.Default()
-	cfg.Plan = req.Plan
-	cfg.Techniques = req.Techniques
-	s, err := sim.NewByName(cfg, req.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	s.WarmupInstructions = req.Warmup
-	r, err := s.RunCyclesContext(ctx, req.Cycles)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(r)
-}
-
-// SubmitOptions carries per-submission overload-protection options.
-type SubmitOptions struct {
-	// Deadline, when nonzero, is the latest wall-clock instant the
-	// caller still wants the result. Admission sheds the submission
-	// (ErrDeadlineUnmeetable) when the estimated queue wait already
-	// blows it; workers shed queued jobs whose deadline passed
-	// (ErrDeadlineExpired). Zero applies the engine's default deadline,
-	// if configured.
-	Deadline time.Time
-}
-
-// Submit registers the request and returns its job. The fast paths, in
-// order: an identical job already queued or running is shared
-// (single-flight); a cached result completes the job immediately; a
-// known done job is returned as-is. Otherwise the job is enqueued on
-// its key's shard, or ErrQueueFull is returned when the aggregate
-// queue is at capacity. A previously failed key is re-enqueued
-// (failures are not cached).
-func (e *Engine) Submit(req Request) (*Job, error) {
-	return e.submit(req, SubmitOptions{}, false)
-}
-
-// SubmitOpts is Submit with overload-protection options.
-func (e *Engine) SubmitOpts(req Request, opt SubmitOptions) (*Job, error) {
-	return e.submit(req, opt, false)
-}
-
-func (e *Engine) submit(req Request, opt SubmitOptions, abandonable bool) (*Job, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	req = req.Normalize()
-	key, err := req.Key()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Deadline.IsZero() && e.cfg.DefaultDeadline > 0 {
-		opt.Deadline = e.now().Add(e.cfg.DefaultDeadline)
-	}
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	j, _, err := e.submitLocked(sh, key, req, opt, false, abandonable)
-	sh.mu.Unlock()
-	return j, err
-}
-
-// SubmitWait submits on the synchronous path and blocks until the job
-// settles or ctx is done. When ctx dies first — the HTTP client behind
-// a ?wait=1 request disconnected — the waiter deregisters, and if it
-// was the job's only interested party (no other waiters, never joined
-// by an async/batch/replay submission) the job's run context is
-// cancelled with ErrAbandoned so the worker stops computing a result
-// nobody will read.
-func (e *Engine) SubmitWait(ctx context.Context, req Request, opt SubmitOptions) (JobStatus, error) {
-	j, err := e.submit(req, opt, true)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	h := j.home
-	h.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobQuarantined {
-		st := statusLocked(j)
-		h.mu.Unlock()
-		return st, nil
-	}
-	j.waiters++
-	h.mu.Unlock()
-	select {
-	case <-j.done:
-		h.mu.Lock()
-		j.waiters--
-		h.mu.Unlock()
-		return j.snapshot(), nil
-	case <-ctx.Done():
-		h.mu.Lock()
-		j.waiters--
-		if j.waiters == 0 && !j.pinned && (j.state == JobQueued || j.state == JobRunning) {
-			j.runCancel(ErrAbandoned)
-		}
-		h.mu.Unlock()
-		return JobStatus{}, ctx.Err()
-	}
-}
-
-// submitLocked is the admission path for one job; the caller holds
-// sh.mu. With reserved true (batch admission) the aggregate capacity
-// was claimed up front and enqueued reports whether this job actually
-// consumed a slot. abandonable marks a sole-synchronous-waiter
-// submission; any other join pins the job against client abandonment.
-func (e *Engine) submitLocked(sh *shard, key string, req Request, opt SubmitOptions, reserved, abandonable bool) (j *Job, enqueued bool, err error) {
-	if e.closed.Load() {
-		return nil, false, ErrShutdown
-	}
-	if j, ok := sh.jobs[key]; ok && (j.state == JobQueued || j.state == JobRunning) {
-		sh.deduped++
-		if !abandonable {
-			j.pinned = true
-		}
-		// The shared job honors the most generous deadline among its
-		// submitters: any no-deadline join clears it, otherwise the
-		// later deadline wins.
-		if opt.Deadline.IsZero() {
-			j.deadline = time.Time{}
-		} else if !j.deadline.IsZero() && opt.Deadline.After(j.deadline) {
-			j.deadline = opt.Deadline
-		}
-		return j, false, nil
-	}
-	if j, ok := sh.jobs[key]; ok && j.state == JobQuarantined {
-		// Poisoned input: permanently failed, never re-enqueued.
-		return j, false, nil
-	}
-	if data, ok := e.cfg.Cache.Get(key); ok {
-		if j, ok := sh.jobs[key]; ok && j.state == JobDone && j.cached {
-			// Repeat hit: results are deterministic, so the bytes are the
-			// job's bytes — reuse it instead of allocating a twin.
-			return j, false, nil
-		}
-		j := &Job{Key: key, Req: req, home: sh, state: JobDone, cached: true, resultJSON: data, done: closedDone}
-		sh.jobs[key] = j
-		return j, false, nil
-	}
-	if j, ok := sh.jobs[key]; ok && j.state == JobDone {
-		// Done but evicted from the cache: still serve the job's bytes.
-		return j, false, nil
-	}
-	if !opt.Deadline.IsZero() {
-		if wait := e.estimateWait(sh); wait > 0 && e.now().Add(wait).After(opt.Deadline) {
-			e.shedAdmission.Add(1)
-			e.noteReject()
-			return nil, false, ErrDeadlineUnmeetable
-		}
-	}
-	if !reserved && !e.reserveSlots(1) {
-		e.noteReject()
-		return nil, false, ErrQueueFull
-	}
-	j = &Job{Key: key, Req: req, home: sh, state: JobQueued, done: make(chan struct{}),
-		deadline: opt.Deadline, pinned: !abandonable}
-	j.runCtx, j.runCancel = context.WithCancelCause(e.baseCtx)
-	// Journal ordering: the submit record lands before the job becomes
-	// runnable, so a crash between the two replays rather than loses it.
-	if c, err := req.Canonical(); err == nil {
-		e.journalAppend(journal.Record{Op: journal.OpSubmit, Key: key, Req: c})
-	}
-	sh.push(j)
-	sh.jobs[key] = j
-	e.signalWork()
-	return j, true, nil
-}
-
-// SubmitBatch expands the batch into cell jobs and registers an
-// aggregate batch job. All cells are admitted atomically: the batch
-// reserves every needed queue slot in one operation while holding all
-// shard locks, so either every cell that needs to run is enqueued or
-// the whole batch is rejected with ErrQueueFull and nothing is
-// enqueued — no concurrent submitter can wedge a batch half in.
-func (e *Engine) SubmitBatch(breq BatchRequest) (*Batch, error) {
-	return e.SubmitBatchOpts(breq, SubmitOptions{})
-}
-
-// SubmitBatchOpts is SubmitBatch with overload-protection options; the
-// deadline applies to every cell, and a single unmeetable cell rejects
-// the whole batch (all-or-nothing, like capacity).
-func (e *Engine) SubmitBatchOpts(breq BatchRequest, opt SubmitOptions) (*Batch, error) {
-	key, err := breq.Key()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Deadline.IsZero() && e.cfg.DefaultDeadline > 0 {
-		opt.Deadline = e.now().Add(e.cfg.DefaultDeadline)
-	}
-	spec, cells, err := breq.Cells()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		if keys[i], err = c.Key(); err != nil {
-			return nil, err
-		}
-	}
-
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	if e.closed.Load() {
-		return nil, ErrShutdown
-	}
-	if b, ok := e.batches[key]; ok && b.state != JobFailed {
-		e.batchDeduped++
-		return b, nil
-	}
-
-	// Admission: count the cells that need a queue slot with every
-	// shard locked (freezing job states and the queues), then claim
-	// that many slots in one atomic reservation. Workers may free
-	// capacity concurrently — that only helps — but no submitter can
-	// take it: they would need a shard lock we hold.
-	for _, s := range e.shards {
-		s.mu.Lock()
-	}
-	unlock := func() {
-		for _, s := range e.shards {
-			s.mu.Unlock()
-		}
-	}
-	need := 0
-	for i := range cells {
-		sh := e.shardFor(keys[i])
-		j, known := sh.jobs[keys[i]]
-		inFlight := known && j.state != JobFailed
-		if !inFlight && !e.cfg.Cache.Contains(keys[i]) {
-			need++
-		}
-	}
-	if !e.reserveSlots(need) {
-		unlock()
-		e.noteReject()
-		return nil, ErrQueueFull
-	}
-
-	b := &Batch{Key: key, Spec: spec, state: JobQueued, done: make(chan struct{})}
-	b.cells = make([]*Job, len(cells))
-	used := 0
-	for i, c := range cells {
-		sh := e.shardFor(keys[i])
-		j, enq, err := e.submitLocked(sh, keys[i], c, opt, true, false)
-		if err != nil {
-			// A cell was shed (deadline unmeetable) or the engine closed
-			// under us: release the unused reservation and reject the
-			// whole batch — admission stays all-or-nothing.
-			e.releaseSlot(need - used)
-			unlock()
-			b.state, b.err = JobFailed, err
-			close(b.done)
-			e.batches[key] = b
-			return nil, err
-		}
-		if enq {
-			used++
-		}
-		b.cells[i] = j
-	}
-	e.releaseSlot(need - used) // cells deduped inside the batch, if any
-	unlock()
-	e.batches[key] = b
-	go e.aggregate(b)
-	return b, nil
-}
-
-// aggregate waits for every cell of the batch and settles the batch
-// state: failed with the first (lowest-indexed) cell error, else done.
-func (e *Engine) aggregate(b *Batch) {
-	for _, j := range b.cells {
-		<-j.done
-	}
-	e.batchMu.Lock()
-	b.state = JobDone
-	for _, j := range b.cells {
-		// Settled before close(done), so the read is ordered.
-		if j.err != nil {
-			b.state, b.err = JobFailed, j.err
-			break
-		}
-	}
-	e.batchMu.Unlock()
-	close(b.done)
 }
 
 // Job returns a snapshot of the job for key. Unknown in-memory keys
@@ -1570,294 +571,6 @@ func (e *Engine) RunMatrix(ctx context.Context, spec experiments.Spec, w io.Writ
 		prog.Step("%s %-9s %-24s IPC=%.3f stalls=%d%s", spec.ID, j.Req.Benchmark, variantName(spec, i), r.IPC, r.Stalls, note)
 	}
 	return m, nil
-}
-
-// Metrics returns the engine counter snapshot, folding the per-worker
-// and per-shard accumulators — the only place they are combined.
-func (e *Engine) Metrics() Metrics {
-	cs := e.cfg.Cache.Stats()
-	up := time.Since(e.start).Seconds()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	health := e.healthMetrics()
-	ready, _ := e.readiness(HealthState(health.State))
-
-	m := Metrics{
-		UptimeSeconds:     up,
-		JobsQueued:        int(e.queued.Load()),
-		JobsRunning:       int(e.running.Load()),
-		JournalErrors:     e.journalErrs.Load(),
-		Ready:             ready,
-		JobsShedAdmission: e.shedAdmission.Load(),
-		JournalSkipped:    e.journalSkipped.Load(),
-		Durability:        e.durability(),
-		QueueWaitEWMAMS:   float64(e.latencyEWMA()) / float64(time.Millisecond),
-		CacheBreaker:      e.cbrk.Snapshot(),
-		JournalBreaker:    e.jbrk.Snapshot(),
-		Health:            health,
-		CacheHits:         cs.Hits,
-		CacheMisses:       cs.Misses,
-		CacheEntries:      cs.Entries,
-		Cache:             cs,
-		Shards:            make([]ShardMetrics, len(e.shards)),
-		Runtime: RuntimeMetrics{
-			Goroutines:      runtime.NumGoroutine(),
-			NumCPU:          runtime.NumCPU(),
-			HeapAllocBytes:  ms.HeapAlloc,
-			HeapSysBytes:    ms.HeapSys,
-			TotalAllocBytes: ms.TotalAlloc,
-			GCCycles:        ms.NumGC,
-			GCPauseTotalMS:  float64(ms.PauseTotalNs) / 1e6,
-		},
-	}
-	if e.cbrk.State() != BreakerClosed {
-		m.CacheDegraded = 1
-	}
-	for i, s := range e.shards {
-		m.Shards[i] = ShardMetrics{QueueDepth: int(s.qlen.Load())}
-		s.mu.Lock()
-		m.JobsDeduped += s.deduped
-		s.mu.Unlock()
-	}
-	e.batchMu.Lock()
-	m.JobsDeduped += e.batchDeduped
-	e.batchMu.Unlock()
-
-	var util UtilizationMetrics
-	var mc MulticoreMetrics
-	var mcCoreN []uint64
-	for _, w := range e.workers {
-		w.statsMu.Lock()
-		st := &w.stats
-		m.JobsCompleted += st.completed
-		m.JobsFailed += st.failed
-		m.JobsRetried += st.retries
-		m.JobPanics += st.panics
-		m.JobsQuarantined += st.quarantined
-		m.JobsStolen += st.stolen
-		m.JobsShedExpired += st.shedExpired
-		m.JobsClientAbandoned += st.abandoned
-		m.JobsWatchdogFired += st.watchdog
-		addUtilization(&util, st.util)
-		addMulticore(&mc, &mcCoreN, st.mc, st.mcCoreN)
-		w.statsMu.Unlock()
-	}
-	if up > 0 {
-		m.CellsPerSecond = float64(m.JobsCompleted) / up
-	}
-	m.Utilization = utilizationSnapshot(util)
-	m.Multicore = multicoreSnapshot(mc, mcCoreN)
-	return m
-}
-
-// utilizationSnapshot averages the folded per-cell telemetry.
-func utilizationSnapshot(sum UtilizationMetrics) UtilizationMetrics {
-	out := UtilizationMetrics{Cells: sum.Cells}
-	if sum.Cells == 0 {
-		return out
-	}
-	n := float64(sum.Cells)
-	for h := 0; h < 2; h++ {
-		out.IntQHalfOcc[h] = sum.IntQHalfOcc[h] / n
-		out.FPQHalfOcc[h] = sum.FPQHalfOcc[h] / n
-	}
-	out.ALUGrantShare = scaleVec(sum.ALUGrantShare, 1/n)
-	out.RFReadShare = scaleVec(sum.RFReadShare, 1/n)
-	return out
-}
-
-// multicoreSnapshot averages the folded per-run telemetry.
-func multicoreSnapshot(sum MulticoreMetrics, coreN []uint64) MulticoreMetrics {
-	out := MulticoreMetrics{
-		Runs:          sum.Runs,
-		CoolingStalls: sum.CoolingStalls,
-		Migrations:    sum.Migrations,
-	}
-	if len(coreN) == 0 {
-		return out
-	}
-	out.CoreUtilization = make([]float64, len(coreN))
-	out.CoreAvgTempK = make([]float64, len(coreN))
-	out.CorePeakTempK = make([]float64, len(coreN))
-	for i, n := range coreN {
-		if n == 0 {
-			continue
-		}
-		out.CoreUtilization[i] = sum.CoreUtilization[i] / float64(n)
-		out.CoreAvgTempK[i] = sum.CoreAvgTempK[i] / float64(n)
-		out.CorePeakTempK[i] = sum.CorePeakTempK[i]
-	}
-	return out
-}
-
-// scaleVec returns a copy of v with every element multiplied by k.
-func scaleVec(v []float64, k float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = x * k
-	}
-	return out
-}
-
-// HealthState is the engine's single degraded-mode state machine,
-// ordered by severity: healthy → degraded (a disk breaker is open:
-// serving and computing continue with reduced durability or cache
-// reach) → overloaded (shedding work, or still replaying the journal)
-// → draining (shutting down). It drives /readyz (503 only when
-// overloaded or draining), /statusz, and the /metrics health section.
-type HealthState string
-
-const (
-	HealthHealthy    HealthState = "healthy"
-	HealthDegraded   HealthState = "degraded"
-	HealthOverloaded HealthState = "overloaded"
-	HealthDraining   HealthState = "draining"
-)
-
-// evalHealth derives the current state from the engine's signals. A
-// rejection keeps the engine overloaded for overloadHold — hysteresis,
-// so one burst does not flap /readyz per request.
-func (e *Engine) evalHealth() HealthState {
-	switch {
-	case e.closed.Load() || e.draining.Load():
-		return HealthDraining
-	case !e.replayed.Load():
-		return HealthOverloaded
-	}
-	if last := e.lastReject.Load(); last != 0 && e.now().UnixNano()-last < int64(e.cfg.OverloadHold) {
-		return HealthOverloaded
-	}
-	if e.cbrk.State() != BreakerClosed || e.jbrk.State() != BreakerClosed {
-		return HealthDegraded
-	}
-	return HealthHealthy
-}
-
-// Health returns the current state and how long it has held, folding
-// transitions into the per-state entered counters.
-func (e *Engine) Health() (HealthState, time.Duration) {
-	cur := e.evalHealth()
-	e.healthMu.Lock()
-	defer e.healthMu.Unlock()
-	if cur != e.healthCur {
-		e.healthCur = cur
-		e.healthSince = e.now()
-		e.healthEntered[cur]++
-	}
-	return cur, e.now().Sub(e.healthSince)
-}
-
-// healthMetrics snapshots the health section for /metrics and /statusz.
-func (e *Engine) healthMetrics() HealthMetrics {
-	state, held := e.Health()
-	e.healthMu.Lock()
-	entered := make(map[string]uint64, len(e.healthEntered))
-	for s, n := range e.healthEntered {
-		entered[string(s)] = n
-	}
-	e.healthMu.Unlock()
-	return HealthMetrics{State: string(state), SinceSeconds: held.Seconds(), Entered: entered}
-}
-
-// Ready reports whether the engine should receive traffic, with a
-// reason when it should not. Degraded is still ready — a daemon
-// serving from memory with durability off beats no daemon — only
-// overloaded and draining fail the readiness probe. The HTTP /readyz
-// endpoint serves this.
-func (e *Engine) Ready() (bool, string) {
-	state, _ := e.Health()
-	return e.readiness(state)
-}
-
-// readiness is the Ready verdict for health state s.
-func (e *Engine) readiness(s HealthState) (bool, string) {
-	switch s {
-	case HealthDraining:
-		return false, "draining"
-	case HealthOverloaded:
-		if !e.replayed.Load() {
-			return false, "journal replay"
-		}
-		return false, "overloaded"
-	}
-	return true, ""
-}
-
-// durability names the journal contract currently in force: "off" (no
-// journal configured), "journaled" (every transition WAL-logged), or
-// "none" (journal breaker open: work is accepted and computed but
-// transitions are not persisted; results settle NonJournaled and the
-// engine re-journals outstanding state when the disk recovers).
-func (e *Engine) durability() string {
-	switch {
-	case e.cfg.Journal == nil:
-		return "off"
-	case e.jbrk.State() != BreakerClosed:
-		return "none"
-	default:
-		return "journaled"
-	}
-}
-
-// Statusz is the operator-facing /statusz snapshot: the health state
-// machine, the degraded-mode contracts in force, breaker internals, and
-// the overload-control readings behind recent admission decisions.
-type Statusz struct {
-	State          string            `json:"state"`
-	SinceSeconds   float64           `json:"since_seconds"`
-	Entered        map[string]uint64 `json:"entered"`
-	Ready          bool              `json:"ready"`
-	Reason         string            `json:"reason,omitempty"`
-	Durability     string            `json:"durability"`
-	CacheDegraded  bool              `json:"cache_degraded"`
-	CacheBreaker   BreakerSnapshot   `json:"cache_breaker"`
-	JournalBreaker BreakerSnapshot   `json:"journal_breaker"`
-
-	QueueDepth        int     `json:"queue_depth"`
-	QueueCapacity     int     `json:"queue_capacity"`
-	QueueWaitEWMAMS   float64 `json:"queue_wait_ewma_ms"`
-	RetryAfterSeconds int     `json:"retry_after_seconds"`
-	DefaultDeadlineMS int64   `json:"default_deadline_ms,omitempty"`
-	WatchdogMS        int64   `json:"watchdog_ms,omitempty"`
-
-	JobsShedExpired     uint64  `json:"jobs_shed_expired"`
-	JobsShedAdmission   uint64  `json:"jobs_shed_admission"`
-	JobsClientAbandoned uint64  `json:"jobs_client_abandoned"`
-	JobsWatchdogFired   uint64  `json:"jobs_watchdog_fired"`
-	JournalSkipped      uint64  `json:"journal_skipped"`
-	UptimeSeconds       float64 `json:"uptime_seconds"`
-}
-
-// Statusz returns the degraded-mode snapshot served at /statusz: one
-// Metrics snapshot projected, plus the configuration it runs under.
-func (e *Engine) Statusz() Statusz {
-	m := e.Metrics()
-	_, reason := e.readiness(HealthState(m.Health.State))
-	return Statusz{
-		State:          m.Health.State,
-		SinceSeconds:   m.Health.SinceSeconds,
-		Entered:        m.Health.Entered,
-		Ready:          m.Ready,
-		Reason:         reason,
-		Durability:     m.Durability,
-		CacheDegraded:  m.CacheDegraded != 0,
-		CacheBreaker:   m.CacheBreaker,
-		JournalBreaker: m.JournalBreaker,
-
-		QueueDepth:        m.JobsQueued,
-		QueueCapacity:     e.cfg.QueueDepth,
-		QueueWaitEWMAMS:   m.QueueWaitEWMAMS,
-		RetryAfterSeconds: e.RetryAfterSeconds(),
-		DefaultDeadlineMS: e.cfg.DefaultDeadline.Milliseconds(),
-		WatchdogMS:        e.cfg.Watchdog.Milliseconds(),
-
-		JobsShedExpired:     m.JobsShedExpired,
-		JobsShedAdmission:   m.JobsShedAdmission,
-		JobsClientAbandoned: m.JobsClientAbandoned,
-		JobsWatchdogFired:   m.JobsWatchdogFired,
-		JournalSkipped:      m.JournalSkipped,
-		UptimeSeconds:       m.UptimeSeconds,
-	}
 }
 
 // BeginDrain flips readiness off ahead of Shutdown, so a load balancer
