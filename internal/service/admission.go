@@ -16,9 +16,9 @@ type SubmitOptions struct {
 	// Deadline, when nonzero, is the latest wall-clock instant the
 	// caller still wants the result. Admission sheds the submission
 	// (ErrDeadlineUnmeetable) when the estimated queue wait already
-	// blows it; workers shed queued jobs whose deadline passed
-	// (ErrDeadlineExpired). Zero applies the engine's default deadline,
-	// if configured.
+	// blows it; a job whose deadline passes before it completes fails
+	// with ErrDeadlineExpired. Zero applies the engine's default
+	// deadline, if configured.
 	Deadline time.Time
 }
 

@@ -189,7 +189,7 @@ type EngineConfig struct {
 	// (three attempts total), negative disables retries.
 	MaxRetries int
 	// RetryBase is the first backoff delay (doubled per retry, with
-	// jitter, capped at retryMax); <= 0 means 50ms.
+	// jitter, capped at 2s); <= 0 means 50ms.
 	RetryBase time.Duration
 	// QuarantineAfter is how many recovered panics a job key may
 	// accumulate before it is quarantined; <= 0 means 3.
