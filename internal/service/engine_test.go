@@ -72,6 +72,29 @@ func TestRequestKeyStable(t *testing.T) {
 	if ko == k1 {
 		t.Error("different techniques share a key")
 	}
+
+	// Literal pins: a key names a disk-cache entry and a journal record,
+	// so any change to the canonical form must show up here first.
+	for _, c := range []struct {
+		name string
+		key  func() (string, error)
+		want string
+	}{
+		{"eon defaults", Request{Benchmark: "eon"}.Key,
+			"5de4e7f90f7b9561689eee366f04d7a6c8ddf38b683b79722968f51a26838d30"},
+		{"cellReq(eon)", cellReq("eon").Key,
+			"d179f74817df8b132f07c8cff25842d48fb4154de9515cb3fd9eb0523901d2ef"},
+		{"fig6 x eon batch", BatchRequest{Experiment: "fig6", Benchmarks: []string{"eon"}, Cycles: 100_000}.Key,
+			"22cc62e065ff700334e404e067250050b1b1e16d3af6e54918e534a3257e993e"},
+	} {
+		got, err := c.key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: key %s, pinned %s", c.name, got, c.want)
+		}
+	}
 }
 
 func TestEngineSubmitRunsAndCaches(t *testing.T) {
