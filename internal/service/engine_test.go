@@ -443,6 +443,42 @@ func TestEngineRunMatrixRealSim(t *testing.T) {
 	}
 }
 
+// TestBatchKeyClampsNegativeWarmup: a negative warmup normalizes to 0
+// in every cell key, so it must in the batch key too, or a resubmitted
+// matrix registers a second Batch instead of counting a dedup.
+func TestBatchKeyClampsNegativeWarmup(t *testing.T) {
+	zero := BatchRequest{Experiment: "fig6", Benchmarks: []string{"eon"}, Cycles: 100_000}
+	neg := zero
+	neg.Warmup = -5
+	kz, err := zero.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kn, err := neg.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kz != kn {
+		t.Errorf("warmup -5 and 0 hash to different batch keys: %s / %s", kn, kz)
+	}
+
+	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8}, nil, nil)
+	b1, err := e.SubmitBatch(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := e.SubmitBatch(neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1 != b2 {
+		t.Error("resubmitting the same matrix with warmup -5 registered a second batch")
+	}
+	if m := e.Metrics(); m.JobsDeduped != 1 {
+		t.Errorf("jobs_deduped = %d, want 1", m.JobsDeduped)
+	}
+}
+
 func TestBatchAndCellKeysDisjoint(t *testing.T) {
 	b := BatchRequest{Experiment: "fig6", Benchmarks: []string{"eon"}, Cycles: 100_000}
 	bk, err := b.Key()

@@ -245,7 +245,8 @@ func (b BatchRequest) Spec() (experiments.Spec, error) {
 }
 
 // Key returns the batch job key: the hex SHA-256 of the canonical batch
-// form (experiment ID, explicit benchmark list, defaults applied). The
+// form (experiment ID, explicit benchmark list, defaults applied as
+// Request.Normalize applies them to each cell). The
 // canonical form embeds the "experiment" field, which no cell request
 // has, so batch and cell keys can never collide.
 func (b BatchRequest) Key() (string, error) {
@@ -261,6 +262,9 @@ func (b BatchRequest) Key() (string, error) {
 	}
 	if norm.Cycles <= 0 {
 		norm.Cycles = experiments.DefaultCycles
+	}
+	if norm.Warmup < 0 {
+		norm.Warmup = 0
 	}
 	c, err := json.Marshal(norm)
 	if err != nil {
