@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro/internal/config"
@@ -115,111 +114,19 @@ func validateCell(plan config.FloorplanVariant, tech config.Techniques) error {
 // fixed field order (struct declaration order), enums as names, defaults
 // applied. Equal requests — however they were spelled on the wire —
 // produce equal canonical bytes.
-//
-// Cell-shaped requests take a hand-rolled encoder (appendCanonical)
-// that skips the reflection-based json.Marshal on the submission hot
-// path; anything it cannot encode byte-identically falls back to
-// json.Marshal, so the canonical bytes — and therefore every cache key
-// and journal record — are exactly what they have always been.
 func (r Request) Canonical() ([]byte, error) {
-	n := r.Normalize()
-	if c, ok := appendCanonical(make([]byte, 0, canonicalBufSize), n); ok {
-		return c, nil
-	}
-	return json.Marshal(n)
+	return json.Marshal(r.Normalize())
 }
 
 // Key returns the content-addressed job key: the hex SHA-256 of the
-// canonical form. The canonical bytes are assembled in a stack buffer
-// and hashed in place, so the submission fast path allocates only the
-// returned key string.
+// canonical form.
 func (r Request) Key() (string, error) {
-	n := r.Normalize()
-	var buf [canonicalBufSize]byte
-	c, ok := appendCanonical(buf[:0], n)
-	if !ok {
-		var err error
-		if c, err = json.Marshal(n); err != nil {
-			return "", err
-		}
+	c, err := r.Canonical()
+	if err != nil {
+		return "", err
 	}
 	sum := sha256.Sum256(c)
-	var out [sha256.Size * 2]byte
-	hex.Encode(out[:], sum[:])
-	return string(out[:]), nil
-}
-
-// canonicalBufSize comfortably holds any cell request's canonical form
-// (the fixed skeleton is ~140 bytes; names add a few dozen). Overflow
-// just spills the append to the heap — correct, merely slower.
-const canonicalBufSize = 256
-
-// appendCanonical appends r's canonical JSON to dst, reporting whether
-// it produced bytes identical to json.Marshal(r). It handles the cell
-// shape only (Multicore == nil) and requires every string to be "plain"
-// — printable ASCII that json.Marshal would emit unescaped (it escapes
-// control chars, quotes, backslashes, and — in HTML-safe mode — <, >,
-// and &). Anything else returns ok == false and the caller falls back
-// to json.Marshal; the fallback is what defines correctness, this is
-// only a byte-for-byte shortcut (TestRequestCanonicalFastPath holds the
-// two paths equal across grids of requests).
-func appendCanonical(dst []byte, r Request) ([]byte, bool) {
-	if r.Multicore != nil {
-		return dst, false
-	}
-	if !plainJSONString(r.Benchmark) {
-		return dst, false
-	}
-	// Enum String() values need no check: every output — the fixed
-	// lowercase names and the out-of-range "Type(%d)" form — is plain
-	// ASCII by construction (TestEnumNamesArePlain pins this for all
-	// 256 values of every enum encoded here).
-	t := r.Techniques
-	plan := r.Plan.String()
-	iq, alu := t.IQ.String(), t.ALU.String()
-	rfMap, rfWrites, temporal := t.RFMap.String(), t.RFWrites.String(), t.Temporal.String()
-	dst = append(dst, `{"benchmark":"`...)
-	dst = append(dst, r.Benchmark...)
-	dst = append(dst, `","plan":"`...)
-	dst = append(dst, plan...)
-	dst = append(dst, `","techniques":{"iq":"`...)
-	dst = append(dst, iq...)
-	dst = append(dst, `","alu":"`...)
-	dst = append(dst, alu...)
-	dst = append(dst, `","rf_map":"`...)
-	dst = append(dst, rfMap...)
-	dst = append(dst, `","rf_turnoff":`...)
-	if t.RFTurnoff {
-		dst = append(dst, "true"...)
-	} else {
-		dst = append(dst, "false"...)
-	}
-	dst = append(dst, `,"rf_writes":"`...)
-	dst = append(dst, rfWrites...)
-	dst = append(dst, `","temporal":"`...)
-	dst = append(dst, temporal...)
-	dst = append(dst, `"},"cycles":`...)
-	dst = strconv.AppendInt(dst, r.Cycles, 10)
-	dst = append(dst, `,"warmup":`...)
-	dst = strconv.AppendInt(dst, int64(r.Warmup), 10)
-	dst = append(dst, '}')
-	return dst, true
-}
-
-// plainJSONString reports whether json.Marshal would emit s between
-// quotes byte-for-byte unchanged: printable ASCII with no `"` or `\`
-// and none of the HTML-escaped trio `<`, `>`, `&`. Multi-byte UTF-8 is
-// rejected wholesale (U+2028/U+2029 would be escaped) — benchmark and
-// enum names are plain ASCII, so the fast path never misses in
-// practice.
-func plainJSONString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // BatchRequest submits one experiment matrix by its registry ID
