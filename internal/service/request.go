@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/experiments"
@@ -75,39 +74,10 @@ func (r Request) Validate() error {
 	if _, err := trace.ByName(r.Benchmark); err != nil {
 		return err
 	}
-	return validateCell(r.Plan, r.Techniques)
-}
-
-// cellShape is the part of a cell request that config validation
-// depends on — everything else in the validated Config is
-// config.Default(), which never changes at runtime.
-type cellShape struct {
-	plan config.FloorplanVariant
-	tech config.Techniques
-}
-
-// validateVerdicts memoizes config.Validate verdicts per cellShape:
-// building and checking a full Config per submission is the dominant
-// non-hash cost on the cache-hit burst path, and the verdict is a pure
-// function of the shape. Only nil verdicts are cached — the accepted
-// shape space is the few dozen combinations real clients use, while
-// rejected shapes are unbounded (arbitrary enum bytes) and would let a
-// hostile client grow the map without limit.
-var validateVerdicts sync.Map // cellShape -> struct{} (validated OK)
-
-func validateCell(plan config.FloorplanVariant, tech config.Techniques) error {
-	k := cellShape{plan, tech}
-	if _, ok := validateVerdicts.Load(k); ok {
-		return nil
-	}
 	cfg := config.Default()
-	cfg.Plan = plan
-	cfg.Techniques = tech
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	validateVerdicts.Store(k, struct{}{})
-	return nil
+	cfg.Plan = r.Plan
+	cfg.Techniques = r.Techniques
+	return cfg.Validate()
 }
 
 // Canonical returns the stable JSON encoding of the normalized request:
