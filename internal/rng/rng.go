@@ -54,24 +54,6 @@ func (s *Source) Uint64() uint64 {
 	return x + y
 }
 
-// Fill overwrites dst with the next len(dst) Uint64 draws, leaving the
-// generator in exactly the state len(dst) Uint64 calls would. The loop
-// keeps the xorshift state in registers across the whole batch instead of
-// loading and storing it per draw — the refill half of the Buffered
-// wrapper's bargain.
-func (s *Source) Fill(dst []uint64) {
-	x, y := s.s0, s.s1
-	for i := range dst {
-		t := x
-		t ^= t << 23
-		t ^= t >> 17
-		t ^= y ^ (y >> 26)
-		dst[i] = t + y
-		x, y = y, t
-	}
-	s.s0, s.s1 = x, y
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {

@@ -155,18 +155,6 @@ func TestGeometricTCapPinned(t *testing.T) {
 	if a, b := s.Uint64(), shadow.Uint64(); a != b {
 		t.Fatalf("capped GeometricT consumed a different number of draws: next draw %#x, want %#x", a, b)
 	}
-	// The buffered wrapper shares the cap and the draw count.
-	bs := NewBuffered(31337, 64)
-	if got := bs.GeometricT(1); got != GeometricMaxTrials {
-		t.Fatalf("Buffered.GeometricT(1) = %d, want %d", got, GeometricMaxTrials)
-	}
-	shadow.Seed(31337)
-	for i := 0; i < GeometricMaxTrials-1; i++ {
-		shadow.Uint64()
-	}
-	if a, b := bs.Uint64(), shadow.Uint64(); a != b {
-		t.Fatalf("Buffered capped GeometricT consumed a different number of draws: next draw %#x, want %#x", a, b)
-	}
 	// A zero threshold (mean <= 1) draws nothing at all.
 	s.Seed(5)
 	shadow.Seed(5)

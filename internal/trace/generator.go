@@ -10,13 +10,10 @@ import (
 // different machine configurations can be compared on identical work.
 type Generator struct {
 	prof Profile
-	// r is a buffered draw source: raw 64-bit draws are produced rngBatch
-	// at a time (state stays in registers across the refill loop) and
-	// consumed one per probability trial. Buffering is read-ahead only —
-	// the draw count and order are bit-identical to an unbuffered
-	// rng.Source (see rng.Buffered), which TestGeneratorDrawOrderPinned
+	// r is the draw source. Every draw's count and position in the stream
+	// is part of the trace contract, which TestGeneratorDrawOrderPinned
 	// pins end to end.
-	r *rng.Buffered
+	r *rng.Source
 
 	seq     uint64
 	pc      uint64
@@ -72,10 +69,10 @@ type Generator struct {
 	// register draw.
 	tDep, tAddr uint64
 
-	// Magic-number reductions for the fixed divisors on the per-draw
-	// path: working-set word counts (memAddr) and the branch-site count.
-	// Bit-identical to rng.Intn's `%` (see fastdiv.go), minus the DIV.
-	warmMod, hotMod, siteMod fastMod
+	// Divisors that map a raw draw to an index: the working-set word
+	// counts (memAddr) and the branch-site count. Reducing a draw with
+	// `%` is what rng.Intn does for the same bound.
+	warmWords, hotWords, sites uint64
 
 	// Decoded-instruction ring: refill generates genBatch instructions in
 	// one tight pass (same rng draw order as one-at-a-time generation, so
@@ -93,12 +90,6 @@ type Generator struct {
 // overhead, small enough that read-ahead stays a fraction of a sensor
 // interval.
 const genBatch = 64
-
-// rngBatch is the raw-draw refill size for the generator's buffered rng:
-// one decoded-op refill consumes a few draws per instruction, so 256 draws
-// (2 KiB) covers roughly one genBatch pass per refill without spilling out
-// of L1.
-const rngBatch = 256
 
 const (
 	histLen   = 64           // register-history ring; must stay a power of two (indexed by & (histLen-1))
@@ -122,19 +113,17 @@ func NewGenerator(p Profile) *Generator {
 		panic(err)
 	}
 	g := &Generator{
-		prof:    p,
-		r:       rng.NewBuffered(p.Seed, rngBatch),
-		intHist: make([]int8, histLen),
-		fpHist:  make([]int8, histLen),
+		prof:      p,
+		r:         rng.New(p.Seed),
+		intHist:   make([]int8, histLen),
+		fpHist:    make([]int8, histLen),
+		warmWords: uint64(p.WarmSetBytes / 8),
+		hotWords:  uint64(p.HotSetBytes / 8),
+		sites:     uint64(p.BranchSites),
 	}
 	for i := range g.intHist {
 		g.intHist[i] = int8(i % isa.NumIntRegs)
 		g.fpHist[i] = int8(i % isa.NumFPRegs)
-	}
-	g.warmMod = newFastMod(uint64(p.WarmSetBytes / 8))
-	g.hotMod = newFastMod(uint64(p.HotSetBytes / 8))
-	if p.BranchSites > 0 {
-		g.siteMod = newFastMod(uint64(p.BranchSites))
 	}
 	g.sitePCs = make([]uint64, p.BranchSites)
 	g.siteBias = make([]float64, p.BranchSites)
@@ -281,9 +270,9 @@ func (g *Generator) memAddr() uint64 {
 		g.coldPtr += 8
 		return ColdBase + g.coldPtr
 	case x < g.tColdWarm:
-		return warmBase + g.warmMod.mod(g.r.Uint64())*8
+		return warmBase + g.r.Uint64()%g.warmWords*8
 	default:
-		return hotBase + g.hotMod.mod(g.r.Uint64())*8
+		return hotBase + g.r.Uint64()%g.hotWords*8
 	}
 }
 
@@ -386,7 +375,7 @@ func (g *Generator) genOne(in *isa.Inst) {
 			}
 			site = g.siteCursor
 		} else {
-			site = int(g.siteMod.mod(g.r.Uint64()))
+			site = int(g.r.Uint64() % g.sites)
 		}
 		in.PC = g.sitePCs[site]
 		in.Src1 = g.srcReg(g.intHist)
