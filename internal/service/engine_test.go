@@ -131,7 +131,7 @@ func TestEngineSubmitRunsAndCaches(t *testing.T) {
 		t.Errorf("%d runs for two identical submissions", runs.Load())
 	}
 	m := e.Metrics()
-	if m.CacheHits != 1 || m.JobsCompleted != 1 {
+	if m.Cache.Hits != 1 || m.JobsCompleted != 1 {
 		t.Errorf("metrics = %+v, want 1 cache hit / 1 completed", m)
 	}
 }

@@ -36,9 +36,6 @@ type Metrics struct {
 	JournalBreaker      BreakerSnapshot `json:"journal_breaker"`
 	Health              HealthMetrics   `json:"health"`
 
-	CacheHits      uint64         `json:"cache_hits"`
-	CacheMisses    uint64         `json:"cache_misses"`
-	CacheEntries   int            `json:"cache_entries"`
 	CellsPerSecond float64        `json:"cells_per_second"`
 	Cache          CacheStats     `json:"cache"`
 	Shards         []ShardMetrics `json:"shards"`
@@ -109,7 +106,6 @@ type MulticoreMetrics struct {
 // Metrics returns the engine counter snapshot, folding the per-worker
 // and per-shard accumulators — the only place they are combined.
 func (e *Engine) Metrics() Metrics {
-	cs := e.cfg.Cache.Stats()
 	up := time.Since(e.start).Seconds()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -129,10 +125,7 @@ func (e *Engine) Metrics() Metrics {
 		CacheBreaker:      e.cbrk.Snapshot(),
 		JournalBreaker:    e.jbrk.Snapshot(),
 		Health:            health,
-		CacheHits:         cs.Hits,
-		CacheMisses:       cs.Misses,
-		CacheEntries:      cs.Entries,
-		Cache:             cs,
+		Cache:             e.cfg.Cache.Stats(),
 		Shards:            make([]ShardMetrics, len(e.shards)),
 		Runtime: RuntimeMetrics{
 			Goroutines:      runtime.NumGoroutine(),

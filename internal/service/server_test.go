@@ -122,7 +122,7 @@ func TestServerCellLifecycle(t *testing.T) {
 	if err := json.Unmarshal(mb, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.CacheHits < 1 || m.JobsCompleted != 1 {
+	if m.Cache.Hits < 1 || m.JobsCompleted != 1 {
 		t.Errorf("metrics = %+v, want >=1 cache hit and exactly 1 completed run", m)
 	}
 }

@@ -6,7 +6,7 @@
 #   2. submit a tiny cell and wait for it            -> done, not cached
 #   3. submit the identical cell again               -> served from cache
 #   4. fetch the result twice                        -> byte-identical JSON
-#   5. /metrics                                      -> cache_hits >= 1
+#   5. /metrics                                      -> cache.hits >= 1
 #   6. SIGTERM while a longer job is running         -> drains, exit 0
 #
 # Uses only curl/grep/sed/cmp. Any failed step fails the script.
@@ -77,7 +77,7 @@ curl -fsS "$base/v1/jobs/$key/report" | grep -q 'IPC' || fail "report missing IP
 
 echo "==> metrics counted the cache hit"
 curl -fsS "$base/metrics" >"$workdir/metrics.json"
-grep -q '"cache_hits":[1-9]' "$workdir/metrics.json" || fail "no cache hit in metrics: $(cat "$workdir/metrics.json")"
+grep -q '"cache":{"hits":[1-9]' "$workdir/metrics.json" || fail "no cache hit in metrics: $(cat "$workdir/metrics.json")"
 grep -q '"jobs_completed":1' "$workdir/metrics.json" || fail "expected exactly one completed run: $(cat "$workdir/metrics.json")"
 
 echo "==> on-disk cache entry exists"
