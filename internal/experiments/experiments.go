@@ -73,38 +73,16 @@ type Cell struct {
 type Matrix struct {
 	Spec  Spec
 	Cells []Cell
-
-	// Lookup index for Get, built lazily from Cells (reports call Get
-	// once per table cell, so a linear scan per lookup is O(cells²)
-	// across a report). Rebuilt automatically if Cells has grown since
-	// the last lookup.
-	mu     sync.Mutex
-	idx    map[cellKey]int
-	idxLen int
 }
 
-type cellKey struct{ bench, variant string }
-
-// Get returns the result for (benchmark, variant), or nil. Lookups go
-// through an index map built once, not a per-call scan of Cells.
+// Get returns the result for (benchmark, variant), or nil.
 func (m *Matrix) Get(bench, variant string) *sim.Result {
-	m.mu.Lock()
-	if m.idx == nil || m.idxLen != len(m.Cells) {
-		m.idx = make(map[cellKey]int, len(m.Cells))
-		for i, c := range m.Cells {
-			k := cellKey{c.Benchmark, c.Variant}
-			if _, dup := m.idx[k]; !dup { // first cell wins, as the scan did
-				m.idx[k] = i
-			}
+	for _, c := range m.Cells {
+		if c.Benchmark == bench && c.Variant == variant {
+			return c.R
 		}
-		m.idxLen = len(m.Cells)
 	}
-	i, ok := m.idx[cellKey{bench, variant}]
-	m.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return m.Cells[i].R
+	return nil
 }
 
 // Benchmarks returns the benchmark list the matrix ran (sorted).
