@@ -229,13 +229,6 @@ func (s *Simulator) ShareWarmup(ws *pipeline.WarmState) { s.warm = ws }
 // the thermal warm start, to measure representative power.
 const thermalWarmIntervals = 4
 
-// Run executes the benchmark for the given number of instructions
-// (post-warmup) and returns the result.
-func (s *Simulator) Run(instructions uint64) *Result {
-	s.Pipe.SetFetchLimit(instructions)
-	return s.run(func() bool { return s.Pipe.Fetched < instructions })
-}
-
 // RunCycles executes the benchmark for a fixed number of total cycles
 // (including cooling stalls). Fixed-cycle runs give every configuration
 // the same thermal window — the natural analogue of the paper's fixed

@@ -40,14 +40,6 @@ func TestRunCyclesProducesResult(t *testing.T) {
 	}
 }
 
-func TestRunByInstructions(t *testing.T) {
-	s := quickSim(t, "gzip", nil)
-	r := s.Run(100_000)
-	if r.Committed < 100_000 {
-		t.Fatalf("committed %d, want >= 100000 fetched", r.Committed)
-	}
-}
-
 func TestTemperaturesPhysical(t *testing.T) {
 	s := quickSim(t, "eon", nil)
 	r := s.RunCycles(200_000)
