@@ -86,6 +86,9 @@ func TestRequestKeyStable(t *testing.T) {
 			"d179f74817df8b132f07c8cff25842d48fb4154de9515cb3fd9eb0523901d2ef"},
 		{"fig6 x eon batch", BatchRequest{Experiment: "fig6", Benchmarks: []string{"eon"}, Cycles: 100_000}.Key,
 			"22cc62e065ff700334e404e067250050b1b1e16d3af6e54918e534a3257e993e"},
+		// A negative warmup normalizes to 0, as in every cell key.
+		{"fig6 x eon batch, warmup -5", BatchRequest{Experiment: "fig6", Benchmarks: []string{"eon"}, Cycles: 100_000, Warmup: -5}.Key,
+			"22cc62e065ff700334e404e067250050b1b1e16d3af6e54918e534a3257e993e"},
 	} {
 		got, err := c.key()
 		if err != nil {
@@ -443,31 +446,18 @@ func TestEngineRunMatrixRealSim(t *testing.T) {
 	}
 }
 
-// TestBatchKeyClampsNegativeWarmup: a negative warmup normalizes to 0
-// in every cell key, so it must in the batch key too, or a resubmitted
-// matrix registers a second Batch instead of counting a dedup.
-func TestBatchKeyClampsNegativeWarmup(t *testing.T) {
-	zero := BatchRequest{Experiment: "fig6", Benchmarks: []string{"eon"}, Cycles: 100_000}
-	neg := zero
-	neg.Warmup = -5
-	kz, err := zero.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kn, err := neg.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kz != kn {
-		t.Errorf("warmup -5 and 0 hash to different batch keys: %s / %s", kn, kz)
-	}
-
+// TestBatchResubmitNegativeWarmupDedups: a matrix resubmitted with
+// warmup -5 is the same matrix as with warmup 0, so it must count a
+// dedup rather than register a second Batch.
+func TestBatchResubmitNegativeWarmupDedups(t *testing.T) {
 	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8}, nil, nil)
-	b1, err := e.SubmitBatch(zero)
+	breq := BatchRequest{Experiment: "fig6", Benchmarks: []string{"eon"}, Cycles: 100_000}
+	b1, err := e.SubmitBatch(breq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := e.SubmitBatch(neg)
+	breq.Warmup = -5
+	b2, err := e.SubmitBatch(breq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,9 @@ func (b BatchRequest) Spec() (experiments.Spec, error) {
 
 // Key returns the batch job key: the hex SHA-256 of the canonical batch
 // form (experiment ID, explicit benchmark list, defaults applied as
-// Request.Normalize applies them to each cell). The
-// canonical form embeds the "experiment" field, which no cell request
-// has, so batch and cell keys can never collide.
+// Request.Normalize applies them to each cell). The canonical form
+// embeds the "experiment" field, which no cell request has, so batch and
+// cell keys can never collide.
 func (b BatchRequest) Key() (string, error) {
 	spec, err := b.Spec()
 	if err != nil {
