@@ -448,11 +448,10 @@ func fingerprintStream(name string, n int) uint64 {
 
 // TestGeneratorDrawOrderPinned pins the generator's rng draw order end to
 // end: the fingerprint of the emitted stream is a pure function of the
-// per-instruction draw sequence, so a batched-rng refill (or any future
-// rng restructuring) that perturbed draw count or order — even by one draw
-// — would change these constants. The goldens consume this exact stream;
-// regenerating the constants is only legitimate alongside an intentional,
-// documented workload change.
+// per-instruction draw sequence, so an rng restructuring that perturbed
+// draw count or order — even by one draw — would change these constants.
+// The goldens consume this exact stream; regenerating the constants is
+// only legitimate alongside an intentional, documented workload change.
 func TestGeneratorDrawOrderPinned(t *testing.T) {
 	pins := []struct {
 		profile string
