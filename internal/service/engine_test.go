@@ -392,9 +392,19 @@ func TestEngineBatchRejectedWhenQueueCannotHoldIt(t *testing.T) {
 
 func TestEngineUnknownExperiment(t *testing.T) {
 	e := stubEngine(t, EngineConfig{Workers: 1}, nil, nil)
-	_, err := e.SubmitBatch(BatchRequest{Experiment: "fig9"})
-	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
-		t.Fatalf("err = %v", err)
+	for _, c := range []struct {
+		breq BatchRequest
+		want string
+	}{
+		{BatchRequest{Experiment: "fig9"}, "unknown experiment"},
+		// Four cells with two keys: rejected, rather than counted as four
+		// queue slots under a batch key of its own.
+		{BatchRequest{Experiment: "fig6", Benchmarks: []string{"gzip", "gzip"}, Cycles: 100_000}, `"gzip" twice`},
+	} {
+		_, err := e.SubmitBatch(c.breq)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: err = %v, want %q", c.breq, err, c.want)
+		}
 	}
 }
 

@@ -111,11 +111,20 @@ type BatchRequest struct {
 	Warmup     int      `json:"warmup"`
 }
 
-// Spec resolves the batch to its experiment spec.
+// Spec resolves the batch to its experiment spec. A benchmark named
+// twice is an error: its cells would repeat, count twice against the
+// queue, and give the batch a key of its own for the same matrix.
 func (b BatchRequest) Spec() (experiments.Spec, error) {
 	spec, err := experiments.ByID(b.Experiment, b.Cycles, b.Benchmarks...)
 	if err != nil {
 		return experiments.Spec{}, err
+	}
+	seen := make(map[string]bool, len(spec.Benchmarks))
+	for _, name := range spec.Benchmarks {
+		if seen[name] {
+			return experiments.Spec{}, fmt.Errorf("service: batch names benchmark %q twice", name)
+		}
+		seen[name] = true
 	}
 	spec.Warmup = b.Warmup
 	return spec, nil

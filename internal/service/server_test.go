@@ -191,6 +191,7 @@ func TestServerErrors(t *testing.T) {
 		{"bad JSON", "POST", "/v1/jobs", "{nope", http.StatusBadRequest},
 		{"unknown benchmark", "POST", "/v1/jobs", `{"benchmark":"doom3"}`, http.StatusBadRequest},
 		{"unknown experiment", "POST", "/v1/jobs", `{"experiment":"fig9"}`, http.StatusBadRequest},
+		{"repeated benchmark", "POST", "/v1/jobs", `{"experiment":"fig6","benchmarks":["gzip","gzip"]}`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/jobs", `{"benchmark":"eon","bogus":1}`, http.StatusBadRequest},
 		{"unknown job", "GET", "/v1/jobs/" + strings.Repeat("ab", 32), "", http.StatusNotFound},
 		{"unknown result", "GET", "/v1/jobs/" + strings.Repeat("ab", 32) + "/result", "", http.StatusNotFound},
