@@ -179,16 +179,6 @@ func (j *Journal) Append(r Record) error {
 	return nil
 }
 
-// Sync flushes the journal file to stable storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	return j.f.Sync()
-}
-
 // Close syncs and closes the journal. Appends after Close fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
