@@ -69,8 +69,7 @@ func run(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 	var (
 		addr         = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		workers      = fs.Int("workers", runtime.NumCPU(), "simulation worker goroutines")
-		shards       = fs.Int("shards", 0, "dispatcher shards (0: one per worker)")
-		queue        = fs.Int("queue", 64, "aggregate job queue depth before submissions are rejected with 429")
+		queue        = fs.Int("queue", 64, "job queue depth before submissions are rejected with 429")
 		cacheEntries = fs.Int("cache-entries", 256, "in-memory result cache capacity")
 		cacheDir     = fs.String("cache-dir", "", "directory for the persistent result cache (empty: memory only)")
 		journalDir   = fs.String("journal-dir", "", "directory for the durable job journal (empty: jobs do not survive a crash)")
@@ -104,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 	}
 	cfg := service.EngineConfig{
 		Workers:         *workers,
-		Shards:          *shards,
 		QueueDepth:      *queue,
 		JobTimeout:      *jobTimeout,
 		Cache:           cache,

@@ -25,10 +25,9 @@ type SubmitOptions struct {
 // Submit registers the request and returns its job. The fast paths, in
 // order: an identical job already queued or running is shared
 // (single-flight); a cached result completes the job immediately; a
-// known done job is returned as-is. Otherwise the job is enqueued on
-// its key's shard, or ErrQueueFull is returned when the aggregate
-// queue is at capacity. A previously failed key is re-enqueued
-// (failures are not cached).
+// known done job is returned as-is. Otherwise the job is enqueued, or
+// ErrQueueFull is returned when the queue is at capacity. A previously
+// failed key is re-enqueued (failures are not cached).
 func (e *Engine) Submit(req Request) (*Job, error) {
 	return e.submit(req, SubmitOptions{}, false)
 }
@@ -50,11 +49,9 @@ func (e *Engine) submit(req Request, opt SubmitOptions, abandonable bool) (*Job,
 	if opt.Deadline.IsZero() && e.cfg.DefaultDeadline > 0 {
 		opt.Deadline = e.now().Add(e.cfg.DefaultDeadline)
 	}
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	j, _, err := e.submitLocked(sh, key, req, opt, false, abandonable)
-	sh.mu.Unlock()
-	return j, err
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.submitLocked(key, req, opt, false, abandonable)
 }
 
 // SubmitWait submits on the synchronous path and blocks until the job
@@ -69,43 +66,42 @@ func (e *Engine) SubmitWait(ctx context.Context, req Request, opt SubmitOptions)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	h := j.home
-	h.mu.Lock()
+	e.mu.Lock()
 	if j.state == JobDone || j.state == JobFailed || j.state == JobQuarantined {
 		st := statusLocked(j)
-		h.mu.Unlock()
+		e.mu.Unlock()
 		return st, nil
 	}
 	j.waiters++
-	h.mu.Unlock()
+	e.mu.Unlock()
 	select {
 	case <-j.done:
-		h.mu.Lock()
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		j.waiters--
-		h.mu.Unlock()
-		return j.snapshot(), nil
+		return statusLocked(j), nil
 	case <-ctx.Done():
-		h.mu.Lock()
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		j.waiters--
 		if j.waiters == 0 && !j.pinned && (j.state == JobQueued || j.state == JobRunning) {
 			j.runCancel(ErrAbandoned)
 		}
-		h.mu.Unlock()
 		return JobStatus{}, ctx.Err()
 	}
 }
 
 // submitLocked is the admission path for one job; the caller holds
-// sh.mu. With reserved true (batch admission) the aggregate capacity
-// was claimed up front and enqueued reports whether this job actually
-// consumed a slot. abandonable marks a sole-synchronous-waiter
-// submission; any other join pins the job against client abandonment.
-func (e *Engine) submitLocked(sh *shard, key string, req Request, opt SubmitOptions, reserved, abandonable bool) (j *Job, enqueued bool, err error) {
+// e.mu. With reserved true (batch admission) the caller has already
+// checked queue capacity for the whole batch. abandonable marks a
+// sole-synchronous-waiter submission; any other join pins the job
+// against client abandonment.
+func (e *Engine) submitLocked(key string, req Request, opt SubmitOptions, reserved, abandonable bool) (*Job, error) {
 	if e.closed.Load() {
-		return nil, false, ErrShutdown
+		return nil, ErrShutdown
 	}
-	if j, ok := sh.jobs[key]; ok && (j.state == JobQueued || j.state == JobRunning) {
-		sh.deduped++
+	if j, ok := e.jobs[key]; ok && (j.state == JobQueued || j.state == JobRunning) {
+		e.deduped++
 		if !abandonable {
 			j.pinned = true
 		}
@@ -117,38 +113,38 @@ func (e *Engine) submitLocked(sh *shard, key string, req Request, opt SubmitOpti
 		} else if !j.deadline.IsZero() && opt.Deadline.After(j.deadline) {
 			j.deadline = opt.Deadline
 		}
-		return j, false, nil
+		return j, nil
 	}
-	if j, ok := sh.jobs[key]; ok && j.state == JobQuarantined {
+	if j, ok := e.jobs[key]; ok && j.state == JobQuarantined {
 		// Poisoned input: permanently failed, never re-enqueued.
-		return j, false, nil
+		return j, nil
 	}
 	if data, ok := e.cfg.Cache.Get(key); ok {
-		if j, ok := sh.jobs[key]; ok && j.state == JobDone && j.cached {
+		if j, ok := e.jobs[key]; ok && j.state == JobDone && j.cached {
 			// Repeat hit: results are deterministic, so the bytes are the
 			// job's bytes — reuse it instead of allocating a twin.
-			return j, false, nil
+			return j, nil
 		}
-		j := &Job{Key: key, Req: req, home: sh, state: JobDone, cached: true, resultJSON: data, done: closedDone}
-		sh.jobs[key] = j
-		return j, false, nil
+		j := &Job{Key: key, Req: req, state: JobDone, cached: true, resultJSON: data, done: closedDone}
+		e.jobs[key] = j
+		return j, nil
 	}
-	if j, ok := sh.jobs[key]; ok && j.state == JobDone {
+	if j, ok := e.jobs[key]; ok && j.state == JobDone {
 		// Done but evicted from the cache: still serve the job's bytes.
-		return j, false, nil
+		return j, nil
 	}
 	if !opt.Deadline.IsZero() {
-		if wait := e.estimateWait(sh); wait > 0 && e.now().Add(wait).After(opt.Deadline) {
+		if wait := e.drainTime(e.queuedLocked()); wait > 0 && e.now().Add(wait).After(opt.Deadline) {
 			e.shedAdmission.Add(1)
 			e.noteReject()
-			return nil, false, ErrDeadlineUnmeetable
+			return nil, ErrDeadlineUnmeetable
 		}
 	}
-	if !reserved && !e.reserveSlots(1) {
+	if !reserved && e.queuedLocked() >= e.cfg.QueueDepth {
 		e.noteReject()
-		return nil, false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
-	j = &Job{Key: key, Req: req, home: sh, state: JobQueued, done: make(chan struct{}),
+	j := &Job{Key: key, Req: req, state: JobQueued, done: make(chan struct{}),
 		deadline: opt.Deadline, pinned: !abandonable}
 	j.runCtx, j.runCancel = context.WithCancelCause(e.baseCtx)
 	// Journal ordering: the submit record lands before the job becomes
@@ -156,18 +152,19 @@ func (e *Engine) submitLocked(sh *shard, key string, req Request, opt SubmitOpti
 	if c, err := req.Canonical(); err == nil {
 		e.journalAppend(journal.Record{Op: journal.OpSubmit, Key: key, Req: c})
 	}
-	sh.push(j)
-	sh.jobs[key] = j
+	e.queue = append(e.queue, j)
+	e.jobs[key] = j
 	e.signalWork()
-	return j, true, nil
+	return j, nil
 }
 
 // SubmitBatch expands the batch into cell jobs and registers an
-// aggregate batch job. All cells are admitted atomically: the batch
-// reserves every needed queue slot in one operation while holding all
-// shard locks, so either every cell that needs to run is enqueued or
-// the whole batch is rejected with ErrQueueFull and nothing is
-// enqueued — no concurrent submitter can wedge a batch half in.
+// aggregate batch job. All cells are admitted atomically: under the
+// engine lock the batch counts the queue slots it needs and checks
+// them against free capacity, so either every cell that needs to run
+// is enqueued or the whole batch is rejected with ErrQueueFull and
+// nothing is enqueued — no concurrent submitter can wedge a batch
+// half in.
 func (e *Engine) SubmitBatch(breq BatchRequest) (*Batch, error) {
 	return e.SubmitBatchOpts(breq, SubmitOptions{})
 }
@@ -197,68 +194,47 @@ func (e *Engine) SubmitBatchOpts(breq BatchRequest, opt SubmitOptions) (*Batch, 
 		}
 	}
 
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return nil, ErrShutdown
 	}
 	if b, ok := e.batches[key]; ok && b.state != JobFailed {
-		e.batchDeduped++
+		e.deduped++
 		return b, nil
 	}
 
-	// Admission: count the cells that need a queue slot with every
-	// shard locked (freezing job states and the queues), then claim
-	// that many slots in one atomic reservation. Workers may free
-	// capacity concurrently — that only helps — but no submitter can
-	// take it: they would need a shard lock we hold.
-	for _, s := range e.shards {
-		s.mu.Lock()
-	}
-	unlock := func() {
-		for _, s := range e.shards {
-			s.mu.Unlock()
-		}
-	}
+	// Admission: count the cells that need a queue slot and check them
+	// against free capacity. Workers cannot pop and no submitter can
+	// enqueue while we hold the lock, so the count stays true until the
+	// cells are in.
 	need := 0
 	for i := range cells {
-		sh := e.shardFor(keys[i])
-		j, known := sh.jobs[keys[i]]
+		j, known := e.jobs[keys[i]]
 		inFlight := known && j.state != JobFailed
 		if !inFlight && !e.cfg.Cache.Contains(keys[i]) {
 			need++
 		}
 	}
-	if !e.reserveSlots(need) {
-		unlock()
+	if e.queuedLocked()+need > e.cfg.QueueDepth {
 		e.noteReject()
 		return nil, ErrQueueFull
 	}
 
 	b := &Batch{Key: key, Spec: spec, state: JobQueued, done: make(chan struct{})}
 	b.cells = make([]*Job, len(cells))
-	used := 0
 	for i, c := range cells {
-		sh := e.shardFor(keys[i])
-		j, enq, err := e.submitLocked(sh, keys[i], c, opt, true, false)
+		j, err := e.submitLocked(keys[i], c, opt, true, false)
 		if err != nil {
 			// A cell was shed (deadline unmeetable) or the engine closed
-			// under us: release the unused reservation and reject the
-			// whole batch — admission stays all-or-nothing.
-			e.releaseSlot(need - used)
-			unlock()
+			// under us: reject the whole batch.
 			b.state, b.err = JobFailed, err
 			close(b.done)
 			e.batches[key] = b
 			return nil, err
 		}
-		if enq {
-			used++
-		}
 		b.cells[i] = j
 	}
-	e.releaseSlot(need - used) // cells deduped inside the batch, if any
-	unlock()
 	e.batches[key] = b
 	go e.aggregate(b)
 	return b, nil
@@ -270,23 +246,22 @@ func (e *Engine) aggregate(b *Batch) {
 	for _, j := range b.cells {
 		<-j.done
 	}
-	e.batchMu.Lock()
+	e.mu.Lock()
 	b.state = JobDone
 	for _, j := range b.cells {
-		// Settled before close(done), so the read is ordered.
 		if j.err != nil {
 			b.state, b.err = JobFailed, j.err
 			break
 		}
 	}
-	e.batchMu.Unlock()
+	e.mu.Unlock()
 	close(b.done)
 }
 
 // noteLatency folds one attempt's wall-clock duration into the EWMA
-// (α = 0.2) that admission control multiplies by queue depth to
-// estimate wait time. Stored as float64 bits in an atomic, CAS-looped:
-// workers record concurrently and the submit path reads lock-free.
+// (α = 0.2) behind drainTime's wait estimate. Stored as float64 bits
+// in an atomic, CAS-looped: workers record concurrently and the submit
+// path reads lock-free.
 func (e *Engine) noteLatency(d time.Duration) {
 	s := d.Seconds()
 	for {
@@ -307,12 +282,12 @@ func (e *Engine) latencyEWMA() time.Duration {
 	return time.Duration(math.Float64frombits(e.latEWMA.Load()) * float64(time.Second))
 }
 
-// estimateWait is the admission-control wait estimate for a job landing
-// on shard sh: the jobs already queued there, each costing one EWMA
-// latency. Work stealing makes this pessimistic on idle siblings —
-// which is the right bias for a shedding decision.
-func (e *Engine) estimateWait(sh *shard) time.Duration {
-	return time.Duration(sh.qlen.Load()) * e.latencyEWMA()
+// drainTime estimates how long queued jobs take to drain through all
+// workers at the observed per-job latency: queued × EWMA / workers.
+// Admission sheds a deadline this wait already blows, and Retry-After
+// rounds it up.
+func (e *Engine) drainTime(queued int) time.Duration {
+	return time.Duration(queued) * e.latencyEWMA() / time.Duration(len(e.workers))
 }
 
 // noteReject stamps the overload-hysteresis clock: the health state
@@ -322,15 +297,12 @@ func (e *Engine) noteReject() {
 }
 
 // RetryAfterSeconds is the Retry-After hint served with 429 responses:
-// the time to drain the current aggregate queue through all workers at
-// the observed per-job latency, rounded up, at least 1s.
+// the drain time of the current queue, rounded up, at least 1s.
 func (e *Engine) RetryAfterSeconds() int {
-	ewma := e.latencyEWMA()
-	if ewma <= 0 {
-		return 1
-	}
-	drain := time.Duration(e.queued.Load()) * ewma / time.Duration(len(e.workers))
-	secs := int((drain + time.Second - 1) / time.Second)
+	e.mu.Lock()
+	queued := e.queuedLocked()
+	e.mu.Unlock()
+	secs := int((e.drainTime(queued) + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}

@@ -116,7 +116,7 @@ func TestEngineBackoffWakesOnShutdown(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
 		t.Errorf("Shutdown blocked %s on a job in backoff", elapsed)
 	}
-	if st := j.snapshot(); st.State != JobFailed || !strings.Contains(st.Error, ErrShutdown.Error()) {
+	if st := e.snapshot(j); st.State != JobFailed || !strings.Contains(st.Error, ErrShutdown.Error()) {
 		t.Errorf("job = %s (%q), want failed by the shutdown", st.State, st.Error)
 	}
 	if runs.Load() != 1 {

@@ -25,13 +25,12 @@ func (e *Engine) recoverJournal(recs []journal.Record) {
 	for _, rec := range quarantined {
 		var req Request
 		json.Unmarshal(rec.Req, &req) // best-effort: old markers may lack the request
-		sh := e.shardFor(rec.Key)
-		j := &Job{Key: rec.Key, Req: req, home: sh, state: JobQuarantined,
+		j := &Job{Key: rec.Key, Req: req, state: JobQuarantined,
 			err: errors.New(rec.Err), panics: e.cfg.QuarantineAfter, done: closedDone}
-		sh.mu.Lock()
-		sh.jobs[rec.Key] = j
-		sh.panicCounts[rec.Key] = e.cfg.QuarantineAfter
-		sh.mu.Unlock()
+		e.mu.Lock()
+		e.jobs[rec.Key] = j
+		e.panicCounts[rec.Key] = e.cfg.QuarantineAfter
+		e.mu.Unlock()
 	}
 	compact := append(append([]journal.Record{}, quarantined...), pending...)
 	if err := e.cfg.Journal.Rewrite(compact); err != nil {
@@ -63,7 +62,7 @@ func (e *Engine) replayPending(pending []journal.Record) {
 			if err == nil {
 				// Replay-from-cache: the run completed before the crash
 				// but its done record was lost; settle the journal now.
-				st := j.snapshot()
+				st := e.snapshot(j)
 				if st.State == JobDone && st.Cached {
 					e.journalAppend(journal.Record{Op: journal.OpDone, Key: j.Key})
 				}
@@ -141,45 +140,39 @@ func (e *Engine) maintain() {
 // missing every transition that happened while the breaker was open.
 // It rewrites pending submits and quarantine markers from the in-memory
 // truth; settled jobs simply vanish from the log, exactly as compaction
-// would have left them. Holding every shard lock across the rewrite
-// keeps concurrent appends from landing in the pre-compaction file and
-// being lost by the rename.
+// would have left them. Holding the engine lock across the rewrite
+// keeps concurrent submit appends from landing in the pre-compaction
+// file and being lost by the rename.
 func (e *Engine) rejournal() {
 	if e.cfg.Journal == nil || !e.rejournalMu.TryLock() {
 		return
 	}
 	defer e.rejournalMu.Unlock()
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-	}
+	e.mu.Lock()
 	var recs []journal.Record
-	for _, sh := range e.shards {
-		for key, j := range sh.jobs {
-			switch j.state {
-			case JobQueued, JobRunning:
-				rec := journal.Record{Op: journal.OpSubmit, Key: key}
-				if c, err := j.Req.Canonical(); err == nil {
-					rec.Req = c
-				}
-				recs = append(recs, rec)
-			case JobQuarantined:
-				rec := journal.Record{Op: journal.OpQuarantined, Key: key}
-				if j.err != nil {
-					rec.Err = j.err.Error()
-				}
-				if c, err := j.Req.Canonical(); err == nil {
-					rec.Req = c
-				}
-				recs = append(recs, rec)
+	for key, j := range e.jobs {
+		switch j.state {
+		case JobQueued, JobRunning:
+			rec := journal.Record{Op: journal.OpSubmit, Key: key}
+			if c, err := j.Req.Canonical(); err == nil {
+				rec.Req = c
 			}
+			recs = append(recs, rec)
+		case JobQuarantined:
+			rec := journal.Record{Op: journal.OpQuarantined, Key: key}
+			if j.err != nil {
+				rec.Err = j.err.Error()
+			}
+			if c, err := j.Req.Canonical(); err == nil {
+				rec.Req = c
+			}
+			recs = append(recs, rec)
 		}
 	}
 	sort.Slice(recs, func(i, k int) bool { return recs[i].Key < recs[k].Key })
 	start := e.now()
 	err := e.cfg.Journal.Rewrite(recs)
-	for _, sh := range e.shards {
-		sh.mu.Unlock()
-	}
+	e.mu.Unlock()
 	if err != nil {
 		e.journalErrs.Add(1)
 	}

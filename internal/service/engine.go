@@ -4,13 +4,10 @@
 // states. One Engine is shared by the HTTP daemon (cmd/pipethermd) and
 // the in-process matrix path (cmd/experiments -cache-dir).
 //
-// Dispatch is sharded (shard.go): jobs hash by key onto per-shard
-// queues and job-map slices, each worker drains its own shard and
-// steals from the busiest sibling when idle, and aggregate queue
-// capacity is one atomic reservation counter — so a burst of
-// submissions on a many-core host never serializes on a global lock,
-// while the observable semantics (single-flight, 429 at QueueDepth,
-// all-or-nothing batch admission, journal ordering) are unchanged.
+// One engine mutex guards the job map, the batches and one FIFO run
+// queue that every worker pops from (dispatch.go), so single-flight,
+// the 429 at QueueDepth, all-or-nothing batch admission and journal
+// ordering are each decided under that one lock.
 //
 // This file holds the engine's types, NewEngine, the job and batch
 // queries, and Shutdown; admission.go, run.go, durability.go and
@@ -59,9 +56,10 @@ var ErrQueueFull = errors.New("service: job queue full")
 var ErrShutdown = errors.New("service: engine shutting down")
 
 // ErrDeadlineUnmeetable is the admission-control shed: the estimated
-// queue wait (queue depth × the EWMA of recent job latency) already
-// exceeds the submission's deadline, so running it would waste a worker
-// on a result nobody will be there to read. Served as 429 + Retry-After.
+// queue wait (queued jobs × the EWMA of recent job latency ÷ workers)
+// already exceeds the submission's deadline, so running it would waste
+// a worker on a result nobody will be there to read. Served as 429 +
+// Retry-After.
 var ErrDeadlineUnmeetable = errors.New("service: deadline unmeetable at current load")
 
 // ErrDeadlineExpired fails a job whose client deadline passed before it
@@ -84,13 +82,12 @@ var ErrStuck = errors.New("service: attempt made no progress (watchdog)")
 var errJobTimeout = fmt.Errorf("service: job timeout: %w", context.DeadlineExceeded)
 
 // Job is one submitted cell. All mutable fields are guarded by the
-// home shard's mutex; callers read them through Status snapshots or
-// after Wait.
+// engine mutex; callers read them through Status snapshots or after
+// Wait.
 type Job struct {
 	Key string
 	Req Request
 
-	home       *shard
 	state      JobState
 	cached     bool
 	resultJSON []byte
@@ -99,7 +96,7 @@ type Job struct {
 	panics     int           // recovered panics for this job's key
 	done       chan struct{} // closed on done/failed/quarantined
 
-	// Overload-protection state (all guarded by home.mu).
+	// Overload-protection state (all guarded by Engine.mu).
 	deadline   time.Time // zero = no deadline
 	runCtx     context.Context
 	runCancel  context.CancelCauseFunc
@@ -169,13 +166,8 @@ type EngineConfig struct {
 	// Workers is the simulation worker count; <= 0 means one per CPU
 	// (runner.Resolve semantics).
 	Workers int
-	// Shards is the dispatcher shard count; <= 0 means one per worker —
-	// the production shape, where every worker owns a shard. Exposed so
-	// tests can pin hashing behavior.
-	Shards int
-	// QueueDepth bounds the number of jobs waiting to run, in aggregate
-	// across all shards; <= 0 means 64. Submissions beyond it fail with
-	// ErrQueueFull.
+	// QueueDepth bounds the number of jobs waiting to run; <= 0 means
+	// 64. Submissions beyond it fail with ErrQueueFull.
 	QueueDepth int
 	// JobTimeout cancels a single cell run after this long; <= 0 means
 	// no per-job timeout. A timed-out attempt counts as transient and
@@ -240,25 +232,24 @@ type EngineConfig struct {
 type Engine struct {
 	cfg EngineConfig // normalized by NewEngine: every default applied
 
-	// The sharded dispatcher (shard.go). queued counts reserved slots
-	// across all shards against the aggregate cfg.QueueDepth; wakeCh
-	// carries work-available tokens to idle workers; spaceCh nudges the
-	// blocking journal-replay submitter when capacity frees; stopCh
-	// closes when Shutdown begins.
-	shards  []*shard
+	// mu guards the job map, the per-key panic counters, the run queue
+	// (push at the tail, pop at queue[qhead]; dispatch.go), the batches,
+	// the dedup count and every Job's mutable fields.
+	mu          sync.Mutex
+	jobs        map[string]*Job
+	panicCounts map[string]int // recovered panics per job key
+	queue       []*Job
+	qhead       int
+	batches     map[string]*Batch
+	deduped     uint64 // single-flight and batch joins
+
+	// wakeCh carries work-available tokens to idle workers; spaceCh
+	// nudges the blocking journal-replay submitter when a queue slot
+	// frees; stopCh closes when Shutdown begins.
 	workers []*workerState
-	queued  atomic.Int64
 	wakeCh  chan struct{}
 	spaceCh chan struct{}
 	stopCh  chan struct{}
-
-	// Batches are rare and aggregate many shards, so they keep a
-	// conventional mutex; batch admission locks batchMu, then every
-	// shard in index order (the one place the engine still has a global
-	// critical section — by design, it is what makes admission atomic).
-	batchMu      sync.Mutex
-	batches      map[string]*Batch
-	batchDeduped uint64
 
 	closed   atomic.Bool // Shutdown has begun
 	draining atomic.Bool // readiness off ahead of shutdown (BeginDrain)
@@ -331,9 +322,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 		cfg.OverloadHold = 2 * time.Second
 	}
 	cfg.Workers = runner.Resolve(cfg.Workers, 0)
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.Workers
-	}
 	replay := cfg.Replay
 	cfg.Replay = nil // recovered once below; not retained
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -342,6 +330,8 @@ func NewEngine(cfg EngineConfig) *Engine {
 		wakeCh:        make(chan struct{}, cfg.QueueDepth),
 		spaceCh:       make(chan struct{}, 1),
 		stopCh:        make(chan struct{}),
+		jobs:          make(map[string]*Job),
+		panicCounts:   make(map[string]int),
 		batches:       make(map[string]*Batch),
 		baseCtx:       ctx,
 		cancel:        cancel,
@@ -359,13 +349,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	if cfg.runFunc != nil {
 		e.run = cfg.runFunc
-	}
-	e.shards = make([]*shard, cfg.Shards)
-	for i := range e.shards {
-		e.shards[i] = &shard{
-			jobs:        make(map[string]*Job),
-			panicCounts: make(map[string]int),
-		}
 	}
 	e.workers = make([]*workerState, cfg.Workers)
 	for i := range e.workers {
@@ -390,14 +373,13 @@ func NewEngine(cfg EngineConfig) *Engine {
 // fall back to the cache (content-addressed, so a daemon restarted over
 // a warm disk cache still answers for completed jobs).
 func (e *Engine) Job(key string) (JobStatus, bool) {
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	if j, ok := sh.jobs[key]; ok {
+	e.mu.Lock()
+	if j, ok := e.jobs[key]; ok {
 		st := statusLocked(j)
-		sh.mu.Unlock()
+		e.mu.Unlock()
 		return st, true
 	}
-	sh.mu.Unlock()
+	e.mu.Unlock()
 	if !isKey(key) {
 		return JobStatus{}, false
 	}
@@ -407,14 +389,14 @@ func (e *Engine) Job(key string) (JobStatus, bool) {
 	return JobStatus{}, false
 }
 
-// snapshot returns the job's status under its home shard lock.
-func (j *Job) snapshot() JobStatus {
-	j.home.mu.Lock()
-	defer j.home.mu.Unlock()
+// snapshot returns the job's status under the engine lock.
+func (e *Engine) snapshot(j *Job) JobStatus {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return statusLocked(j)
 }
 
-// statusLocked snapshots a job; the caller holds the home shard mutex.
+// statusLocked snapshots a job; the caller holds e.mu.
 func statusLocked(j *Job) JobStatus {
 	st := JobStatus{Key: j.Key, State: j.state, Cached: j.cached, Req: j.Req,
 		Attempts: j.attempts, Panics: j.panics, NonJournaled: j.nonDurable}
@@ -429,29 +411,26 @@ func statusLocked(j *Job) JobStatus {
 
 // BatchJob returns a snapshot of the batch for key.
 func (e *Engine) BatchJob(key string) (BatchStatus, bool) {
-	e.batchMu.Lock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	b, ok := e.batches[key]
-	st := BatchStatus{}
-	if ok {
-		st = e.batchStatus(b)
+	if !ok {
+		return BatchStatus{}, false
 	}
-	e.batchMu.Unlock()
-	return st, ok
+	return batchStatus(b), true
 }
 
-// batchStatus snapshots a batch; the caller holds batchMu. Cell states
-// are read through each cell's own shard lock.
-func (e *Engine) batchStatus(b *Batch) BatchStatus {
+// batchStatus snapshots a batch and its cells; the caller holds e.mu.
+func batchStatus(b *Batch) BatchStatus {
 	st := BatchStatus{Key: b.Key, State: b.state, Experiment: b.Spec.ID}
 	if b.err != nil {
 		st.Error = b.err.Error()
 	}
 	st.Cells = make([]BatchCellInfo, len(b.cells))
 	for i, j := range b.cells {
-		cs := j.snapshot()
 		st.Cells[i] = BatchCellInfo{
 			Key: j.Key, Benchmark: j.Req.Benchmark,
-			Variant: variantName(b.Spec, i), State: cs.State, Cached: cs.Cached,
+			Variant: variantName(b.Spec, i), State: j.state, Cached: j.cached,
 		}
 	}
 	return st
@@ -467,10 +446,9 @@ func variantName(spec experiments.Spec, cellIndex int) string {
 // Wait blocks until the job for key settles or ctx is done, and returns
 // the settled snapshot.
 func (e *Engine) Wait(ctx context.Context, key string) (JobStatus, error) {
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	j, ok := sh.jobs[key]
-	sh.mu.Unlock()
+	e.mu.Lock()
+	j, ok := e.jobs[key]
+	e.mu.Unlock()
 	if !ok {
 		if st, ok := e.Job(key); ok { // cache fallback
 			return st, nil
@@ -482,14 +460,14 @@ func (e *Engine) Wait(ctx context.Context, key string) (JobStatus, error) {
 	case <-ctx.Done():
 		return JobStatus{}, ctx.Err()
 	}
-	return j.snapshot(), nil
+	return e.snapshot(j), nil
 }
 
 // WaitBatch blocks until the batch settles or ctx is done.
 func (e *Engine) WaitBatch(ctx context.Context, key string) (BatchStatus, error) {
-	e.batchMu.Lock()
+	e.mu.Lock()
 	b, ok := e.batches[key]
-	e.batchMu.Unlock()
+	e.mu.Unlock()
 	if !ok {
 		return BatchStatus{}, fmt.Errorf("service: unknown batch %q", key)
 	}
@@ -498,29 +476,29 @@ func (e *Engine) WaitBatch(ctx context.Context, key string) (BatchStatus, error)
 	case <-ctx.Done():
 		return BatchStatus{}, ctx.Err()
 	}
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	return e.batchStatus(b), nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return batchStatus(b), nil
 }
 
 // BatchMatrix assembles a settled done batch into an experiments.Matrix
 // (cells in serial iteration order, results decoded from the cached
 // JSON), ready for the paper-style report renderers.
 func (e *Engine) BatchMatrix(key string) (*experiments.Matrix, error) {
-	e.batchMu.Lock()
+	e.mu.Lock()
 	b, ok := e.batches[key]
 	if !ok {
-		e.batchMu.Unlock()
+		e.mu.Unlock()
 		return nil, fmt.Errorf("service: unknown batch %q", key)
 	}
 	if b.state != JobDone {
-		e.batchMu.Unlock()
+		e.mu.Unlock()
 		return nil, fmt.Errorf("service: batch %q is %s", key, b.state)
 	}
 	spec := b.Spec
 	cells := make([]*Job, len(b.cells))
 	copy(cells, b.cells)
-	e.batchMu.Unlock()
+	e.mu.Unlock()
 
 	m := &experiments.Matrix{Spec: spec, Cells: make([]experiments.Cell, len(cells))}
 	for i, j := range cells {
@@ -593,14 +571,12 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	e.draining.Store(true)
-	// Fence: a submitter past the closed check holds its shard lock
-	// until its job is enqueued, so after one lock/unlock round every
+	// Fence: a submitter past the closed check holds the engine lock
+	// until its job is enqueued, so after one lock/unlock every
 	// in-flight enqueue is visible to the workers' shutdown sweep and
 	// every later submit fails with ErrShutdown.
-	for _, s := range e.shards {
-		s.mu.Lock()
-		s.mu.Unlock() //nolint:staticcheck // empty critical section as a fence
-	}
+	e.mu.Lock()
+	e.mu.Unlock() //nolint:staticcheck // empty critical section as a fence
 	close(e.stopCh)
 
 	// At ctx's deadline, cancel the base context: in-flight runs end

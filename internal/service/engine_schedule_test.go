@@ -119,7 +119,6 @@ func runSchedule(t *testing.T, seed uint64) {
 	durable := seed%3 == 0
 	cfg := EngineConfig{
 		Workers:         1 + r.Intn(3),
-		Shards:          1 + r.Intn(3),
 		QueueDepth:      4 + r.Intn(12),
 		MaxRetries:      []int{-1, 0, 1}[r.Intn(3)],
 		RetryBase:       time.Duration(1+r.Intn(4)) * time.Millisecond,
@@ -226,20 +225,18 @@ func runSchedule(t *testing.T, seed uint64) {
 
 	// Every job the engine still maps, plus every one a submitter saw.
 	jobs := append([]*Job(nil), accepted...)
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			jobs = append(jobs, j)
-		}
-		sh.mu.Unlock()
+	e.mu.Lock()
+	for _, j := range e.jobs {
+		jobs = append(jobs, j)
 	}
+	e.mu.Unlock()
 	for _, j := range jobs {
 		select {
 		case <-j.done:
 		default:
 			t.Fatalf("job %s not settled after Shutdown", j.Key)
 		}
-		st := j.snapshot()
+		st := e.snapshot(j)
 		switch st.State {
 		case JobDone:
 			if want := stubResultJSON(j.Key); !bytes.Equal(st.Result, want) {
@@ -255,13 +252,11 @@ func runSchedule(t *testing.T, seed uint64) {
 			t.Errorf("waited job %s result %s", st.Key, st.Result)
 		}
 	}
-	if q := e.queued.Load(); q != 0 {
+	e.mu.Lock()
+	q := e.queuedLocked()
+	e.mu.Unlock()
+	if q != 0 {
 		t.Errorf("queued = %d after Shutdown", q)
-	}
-	for i, sh := range e.shards {
-		if n := sh.qlen.Load(); n != 0 {
-			t.Errorf("shard %d qlen = %d after Shutdown", i, n)
-		}
 	}
 	m := e.Metrics()
 	if early := m.JobsShedExpired + m.JobsClientAbandoned + m.JobsWatchdogFired; early > m.JobsFailed {
@@ -279,19 +274,19 @@ func waitQuiescent(t *testing.T, e *Engine, stub *scheduleStub) {
 	t.Helper()
 	quiet := func() bool {
 		var live int64
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			for _, j := range sh.jobs {
-				if j.state == JobQueued || j.state == JobRunning {
-					live++
-				}
+		e.mu.Lock()
+		for _, j := range e.jobs {
+			if j.state == JobQueued || j.state == JobRunning {
+				live++
 			}
-			sh.mu.Unlock()
 		}
-		q, run := e.queued.Load(), e.running.Load()
+		q := int64(e.queuedLocked())
+		e.mu.Unlock()
+		run := e.running.Load()
 		return run == stub.blocked.Load() && live == q+run && (q == 0 || run == int64(len(e.workers)))
 	}
-	// Two quiet readings in a row: the per-shard scan is not atomic.
+	// Two quiet readings in a row: the running and blocked counters are
+	// read outside the engine lock.
 	deadline := time.Now().Add(5 * time.Second)
 	for streak := 0; streak < 2; time.Sleep(5 * time.Millisecond) {
 		if streak++; !quiet() {
@@ -309,15 +304,13 @@ func waitQuiescent(t *testing.T, e *Engine, stub *scheduleStub) {
 func checkReplay(t *testing.T, e *Engine, dir string) {
 	t.Helper()
 	want := map[string]bool{}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for key, j := range sh.jobs {
-			if j.state == JobFailed && (errors.Is(j.err, ErrShutdown) || errors.Is(j.err, context.Canceled)) {
-				want[key] = true
-			}
+	e.mu.Lock()
+	for key, j := range e.jobs {
+		if j.state == JobFailed && (errors.Is(j.err, ErrShutdown) || errors.Is(j.err, context.Canceled)) {
+			want[key] = true
 		}
-		sh.mu.Unlock()
 	}
+	e.mu.Unlock()
 	jnl, recs, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@ func TestEngineStressConcurrent(t *testing.T) {
 	var hotRuns atomic.Int64
 	e := NewEngine(EngineConfig{
 		Workers:    8,
-		Shards:     8,
 		QueueDepth: 32,
 		runFunc: func(ctx context.Context, req Request) ([]byte, error) {
 			if req.Cycles == 100_000 {
@@ -111,15 +110,13 @@ func TestEngineStressConcurrent(t *testing.T) {
 }
 
 // TestEngineStress429Accounting pins exact backpressure accounting at
-// aggregate capacity: with workers gated shut, concurrent submitters
+// capacity: with workers gated shut, concurrent submitters
 // racing distinct keys get exactly QueueDepth admissions and every
-// other submission is refused with ErrQueueFull — the sharded queues
-// still enforce one aggregate bound, not one bound per shard.
+// other submission is refused with ErrQueueFull.
 func TestEngineStress429Accounting(t *testing.T) {
 	release := make(chan struct{})
 	e := NewEngine(EngineConfig{
 		Workers:    4,
-		Shards:     4,
 		QueueDepth: 16,
 		runFunc: func(ctx context.Context, req Request) ([]byte, error) {
 			select {
@@ -193,7 +190,6 @@ func TestEngineStressBatchAllOrNothing(t *testing.T) {
 	var gate sync.Once
 	e := NewEngine(EngineConfig{
 		Workers:    4,
-		Shards:     4,
 		QueueDepth: 8, // fig6/eon+gzip needs 12 slots when cold
 		runFunc: func(ctx context.Context, req Request) ([]byte, error) {
 			select {
@@ -222,7 +218,7 @@ func TestEngineStressBatchAllOrNothing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				if s%2 == 0 {
-					// Churn single cells to race the batch's reservation.
+					// Churn single cells to race the batch's admission.
 					_, err := e.Submit(Request{Benchmark: "eon", Cycles: int64(3_000_000 + s*8 + i), Warmup: 10_000})
 					if err != nil && err != ErrQueueFull {
 						t.Errorf("Submit: %v", err)
@@ -241,7 +237,7 @@ func TestEngineStressBatchAllOrNothing(t *testing.T) {
 				// Admission promised every cell a live job: none may be
 				// missing or failed at this instant.
 				for _, cell := range b.cells {
-					st := cell.snapshot()
+					st := e.snapshot(cell)
 					if st.State == JobFailed {
 						t.Errorf("batch admitted with failed cell %s: %s", cell.Key, st.Error)
 					}
@@ -251,10 +247,10 @@ func TestEngineStressBatchAllOrNothing(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The queue can hold at most QueueDepth reservations no matter how
-	// the races interleaved — a torn batch would have leaked extras.
+	// The queue can hold at most QueueDepth jobs no matter how the
+	// races interleaved — a torn batch would have enqueued extras.
 	if q := e.Metrics().JobsQueued; q > 8 {
-		t.Errorf("JobsQueued = %d exceeds aggregate capacity 8", q)
+		t.Errorf("JobsQueued = %d exceeds capacity 8", q)
 	}
 
 	// Deterministic phase: open the gate so the backlog drains, then an
@@ -286,88 +282,6 @@ func TestEngineStressBatchAllOrNothing(t *testing.T) {
 	}
 	if st.State != JobDone {
 		t.Fatalf("batch settled %s: %s", st.State, st.Error)
-	}
-}
-
-// TestEngineStealCompletesSiblingBacklog pins the work-stealing path:
-// every request is mined (by scanning Cycles values) to hash onto
-// shard 0, so shards 1..3 never receive local work — yet all four
-// workers end up running shard-0 jobs simultaneously, which is only
-// possible if the idle siblings stole them, and the whole backlog
-// completes while shard 0's own worker is still occupied.
-func TestEngineStealCompletesSiblingBacklog(t *testing.T) {
-	const nshards = 4
-	block := make(chan struct{})
-	e := NewEngine(EngineConfig{
-		Workers:    nshards,
-		Shards:     nshards,
-		QueueDepth: 64,
-		runFunc: func(ctx context.Context, req Request) ([]byte, error) {
-			if req.Warmup == 1 { // plug jobs block until released
-				select {
-				case <-block:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			return stubResultJSON(req.Benchmark), nil
-		},
-	})
-	released := sync.OnceFunc(func() { close(block) })
-	defer func() {
-		released() // a failed test must still unblock the plugs
-		shutdownEngine(t, e)
-	}()
-
-	// mine collects n requests with the given Warmup whose keys all
-	// hash to shard 0.
-	target := e.shards[0]
-	next := int64(1)
-	mine := func(n, warmup int) []Request {
-		var out []Request
-		for ; len(out) < n; next++ {
-			r := Request{Benchmark: "eon", Cycles: next, Warmup: warmup}
-			if e.shardFor(mustKey(t, r)) == target {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	plugs := mine(nshards, 1)
-	backlog := mine(12, 2)
-
-	for _, p := range plugs {
-		if _, err := e.Submit(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All four workers running jobs that are all homed on shard 0:
-	// three of them must have stolen theirs.
-	waitRunningN(t, e, nshards)
-	if m := e.Metrics(); m.JobsStolen < nshards-1 {
-		t.Errorf("JobsStolen = %d with %d shard-0 jobs running, want >= %d",
-			m.JobsStolen, nshards, nshards-1)
-	}
-
-	keys := make([]string, len(backlog))
-	for i, r := range backlog {
-		j, err := e.Submit(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys[i] = j.Key
-	}
-	released()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for _, k := range keys {
-		st, err := e.Wait(ctx, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != JobDone {
-			t.Fatalf("backlog job %s settled %s: %s", k, st.State, st.Error)
-		}
 	}
 }
 
@@ -424,11 +338,10 @@ func TestJitterSeedDeterministic(t *testing.T) {
 
 // TestEngineStressBatchAdmissionVsShutdown lands Shutdown in the
 // middle of a storm of batch and single-cell admissions, under -race
-// in CI. The properties: the batch path's all-or-nothing CAS
-// reservation never leaks capacity across a shutdown (the aggregate
-// reservation counter returns to exactly zero), and the journal's
-// pending set replays exactly — a restarted engine runs each
-// interrupted job once and drains completely.
+// in CI. The properties: no job is left in the run queue after the
+// shutdown, and the journal's pending set replays exactly — a
+// restarted engine runs each interrupted job once and drains
+// completely.
 func TestEngineStressBatchAdmissionVsShutdown(t *testing.T) {
 	dir := t.TempDir()
 	jnl, recs, err := journal.Open(dir)
@@ -438,7 +351,7 @@ func TestEngineStressBatchAdmissionVsShutdown(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	e := NewEngine(EngineConfig{
-		Workers: 4, Shards: 4, QueueDepth: 16,
+		Workers: 4, QueueDepth: 16,
 		Journal: jnl, Replay: recs,
 		runFunc: func(ctx context.Context, req Request) ([]byte, error) {
 			select {
@@ -480,11 +393,13 @@ func TestEngineStressBatchAdmissionVsShutdown(t *testing.T) {
 	cancel()
 	wg.Wait()
 
-	// The CAS reservation balanced: every admitted slot was released by
-	// a pop, a shed, or the shutdown sweep; every rejected batch
-	// released its whole claim.
-	if q := e.queued.Load(); q != 0 {
-		t.Fatalf("aggregate reservation counter = %d after shutdown, want 0", q)
+	// Every queued job left the queue, popped by a worker or by the
+	// shutdown sweep.
+	e.mu.Lock()
+	q := e.queuedLocked()
+	e.mu.Unlock()
+	if q != 0 {
+		t.Fatalf("%d jobs left in the run queue after shutdown, want 0", q)
 	}
 
 	// Replay exactness: each pending key is unique, and a restarted
@@ -504,7 +419,7 @@ func TestEngineStressBatchAdmissionVsShutdown(t *testing.T) {
 
 	var runs2 atomic.Int64
 	e2 := NewEngine(EngineConfig{
-		Workers: 4, Shards: 4, QueueDepth: 2 * len(pending),
+		Workers: 4, QueueDepth: 2 * len(pending),
 		Journal: jnl2, Replay: recs2,
 		runFunc: func(ctx context.Context, req Request) ([]byte, error) {
 			runs2.Add(1)

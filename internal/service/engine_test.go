@@ -202,6 +202,70 @@ func TestEngineQueueFull(t *testing.T) {
 	}
 }
 
+// TestEngineDispatchFIFO: with every worker busy, queued jobs start in
+// submission order, whichever worker frees up next.
+func TestEngineDispatchFIFO(t *testing.T) {
+	started := make(chan int64, 16)
+	release := make(chan struct{})
+	e := NewEngine(EngineConfig{
+		Workers:    2,
+		QueueDepth: 16,
+		runFunc: func(ctx context.Context, req Request) ([]byte, error) {
+			started <- req.Cycles
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return stubResultJSON(req.Benchmark), nil
+		},
+	})
+	defer func() {
+		close(release)
+		shutdownEngine(t, e)
+	}()
+	submit := func(cycles int64) {
+		t.Helper()
+		if _, err := e.Submit(Request{Benchmark: "eon", Cycles: cycles, Warmup: 10_000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func() int64 {
+		t.Helper()
+		select {
+		case c := <-started:
+			return c
+		case <-time.After(5 * time.Second):
+			t.Fatal("no job started")
+			return 0
+		}
+	}
+
+	submit(1)
+	submit(2)
+	next()
+	next() // both workers held
+	for c := int64(101); c <= 108; c++ {
+		submit(c)
+	}
+	var order []int64
+	for i := 0; i < 8; i++ {
+		// End one running job: its worker, the only free one, starts the
+		// next queued job.
+		select {
+		case release <- struct{}{}:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no running job to release")
+		}
+		order = append(order, next())
+	}
+	for i, c := range order {
+		if c != 101+int64(i) {
+			t.Fatalf("start order %v, want 101 to 108 in submission order", order)
+		}
+	}
+}
+
 func waitForRunning(t *testing.T, e *Engine) {
 	t.Helper()
 	for i := 0; i < 500; i++ {

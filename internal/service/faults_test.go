@@ -428,7 +428,7 @@ func TestEngineQuarantineSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state := j2.snapshot().State; state != JobQuarantined {
+	if state := e2.snapshot(j2).State; state != JobQuarantined {
 		t.Fatalf("restarted engine re-admitted a quarantined key: %v", state)
 	}
 	if runs.Load() != 0 {

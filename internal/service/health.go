@@ -18,7 +18,6 @@ type Metrics struct {
 	JobsRetried     uint64  `json:"jobs_retried"`
 	JobPanics       uint64  `json:"job_panics"`
 	JobsQuarantined uint64  `json:"jobs_quarantined"`
-	JobsStolen      uint64  `json:"jobs_stolen"`
 	JournalErrors   uint64  `json:"journal_errors"`
 	Ready           bool    `json:"ready"`
 
@@ -36,9 +35,8 @@ type Metrics struct {
 	JournalBreaker      BreakerSnapshot `json:"journal_breaker"`
 	Health              HealthMetrics   `json:"health"`
 
-	CellsPerSecond float64        `json:"cells_per_second"`
-	Cache          CacheStats     `json:"cache"`
-	Shards         []ShardMetrics `json:"shards"`
+	CellsPerSecond float64    `json:"cells_per_second"`
+	Cache          CacheStats `json:"cache"`
 
 	// Runtime is the Go runtime health section: memory, GC, and
 	// goroutine gauges for the serving process.
@@ -51,11 +49,6 @@ type Metrics struct {
 	// Multicore aggregates the multi-core scheduling runs this process
 	// computed, with the same cache-hit exclusion as Utilization.
 	Multicore MulticoreMetrics `json:"multicore"`
-}
-
-// ShardMetrics is one dispatcher shard's gauge slice of /metrics.
-type ShardMetrics struct {
-	QueueDepth int `json:"queue_depth"`
 }
 
 // HealthMetrics is the health-state-machine section of /metrics: the
@@ -104,7 +97,7 @@ type MulticoreMetrics struct {
 }
 
 // Metrics returns the engine counter snapshot, folding the per-worker
-// and per-shard accumulators — the only place they are combined.
+// accumulators — the only place they are combined.
 func (e *Engine) Metrics() Metrics {
 	up := time.Since(e.start).Seconds()
 	var ms runtime.MemStats
@@ -114,7 +107,6 @@ func (e *Engine) Metrics() Metrics {
 
 	m := Metrics{
 		UptimeSeconds:     up,
-		JobsQueued:        int(e.queued.Load()),
 		JobsRunning:       int(e.running.Load()),
 		JournalErrors:     e.journalErrs.Load(),
 		Ready:             ready,
@@ -126,7 +118,6 @@ func (e *Engine) Metrics() Metrics {
 		JournalBreaker:    e.jbrk.Snapshot(),
 		Health:            health,
 		Cache:             e.cfg.Cache.Stats(),
-		Shards:            make([]ShardMetrics, len(e.shards)),
 		Runtime: RuntimeMetrics{
 			Goroutines:      runtime.NumGoroutine(),
 			NumCPU:          runtime.NumCPU(),
@@ -140,15 +131,9 @@ func (e *Engine) Metrics() Metrics {
 	if e.cbrk.State() != BreakerClosed {
 		m.CacheDegraded = 1
 	}
-	for i, s := range e.shards {
-		m.Shards[i] = ShardMetrics{QueueDepth: int(s.qlen.Load())}
-		s.mu.Lock()
-		m.JobsDeduped += s.deduped
-		s.mu.Unlock()
-	}
-	e.batchMu.Lock()
-	m.JobsDeduped += e.batchDeduped
-	e.batchMu.Unlock()
+	e.mu.Lock()
+	m.JobsQueued, m.JobsDeduped = e.queuedLocked(), e.deduped
+	e.mu.Unlock()
 
 	var util UtilizationMetrics
 	var mc MulticoreMetrics
@@ -161,7 +146,6 @@ func (e *Engine) Metrics() Metrics {
 		m.JobsRetried += st.retries
 		m.JobPanics += st.panics
 		m.JobsQuarantined += st.quarantined
-		m.JobsStolen += st.stolen
 		m.JobsShedExpired += st.shedExpired
 		m.JobsClientAbandoned += st.abandoned
 		m.JobsWatchdogFired += st.watchdog

@@ -37,7 +37,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 func TestEngineAdmissionShedsUnmeetableDeadline(t *testing.T) {
 	release := make(chan struct{})
-	e := stubEngine(t, EngineConfig{Workers: 1, Shards: 1, QueueDepth: 8, OverloadHold: 50 * time.Millisecond}, release, nil)
+	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8, OverloadHold: 50 * time.Millisecond}, release, nil)
 	defer close(release)
 
 	// Occupy the worker and put one job in the queue, then pretend
@@ -84,11 +84,39 @@ func TestEngineAdmissionShedsUnmeetableDeadline(t *testing.T) {
 	if _, err := e.SubmitOpts(cellReq("mesa"), SubmitOptions{Deadline: e.Now().Add(time.Hour)}); err != nil {
 		t.Fatalf("roomy deadline rejected: %v", err)
 	}
+
+	// Two workers drain the queue twice as fast: two jobs queued behind
+	// two running ones at a minute per job is a one-minute wait, for
+	// admission and Retry-After alike.
+	release2 := make(chan struct{})
+	e2 := stubEngine(t, EngineConfig{Workers: 2, QueueDepth: 8}, release2, nil)
+	defer close(release2)
+	for _, b := range []string{"eon", "gzip"} {
+		if _, err := e2.Submit(cellReq(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitRunningN(t, e2, 2)
+	for _, b := range []string{"art", "mesa"} {
+		if _, err := e2.Submit(cellReq(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e2.noteLatency(time.Minute)
+	if s := e2.RetryAfterSeconds(); s != 60 {
+		t.Errorf("two workers: Retry-After = %ds, want 60", s)
+	}
+	if _, err := e2.SubmitOpts(cellReq("mcf"), SubmitOptions{Deadline: e2.Now().Add(30 * time.Second)}); !errors.Is(err, ErrDeadlineUnmeetable) {
+		t.Errorf("two workers, 30s deadline: err = %v, want ErrDeadlineUnmeetable", err)
+	}
+	if _, err := e2.SubmitOpts(cellReq("mcf"), SubmitOptions{Deadline: e2.Now().Add(90 * time.Second)}); err != nil {
+		t.Errorf("two workers, 90s deadline rejected: %v", err)
+	}
 }
 
 func TestEngineQueuedJobShedsOnExpiredDeadline(t *testing.T) {
 	release := make(chan struct{})
-	e := stubEngine(t, EngineConfig{Workers: 1, Shards: 1, QueueDepth: 8}, release, nil)
+	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8}, release, nil)
 
 	if _, err := e.Submit(cellReq("eon")); err != nil {
 		t.Fatal(err)
@@ -116,7 +144,7 @@ func TestEngineQueuedJobShedsOnExpiredDeadline(t *testing.T) {
 func TestEngineDefaultDeadlineApplies(t *testing.T) {
 	release := make(chan struct{})
 	e := stubEngine(t, EngineConfig{
-		Workers: 1, Shards: 1, QueueDepth: 8,
+		Workers: 1, QueueDepth: 8,
 		DefaultDeadline: 20 * time.Millisecond, MaxRetries: -1,
 	}, release, nil)
 
@@ -143,7 +171,7 @@ func TestEngineDefaultDeadlineApplies(t *testing.T) {
 
 func TestEngineSubmitWaitClientAbandon(t *testing.T) {
 	release := make(chan struct{})
-	e := stubEngine(t, EngineConfig{Workers: 1, Shards: 1, QueueDepth: 8}, release, nil)
+	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8}, release, nil)
 
 	if _, err := e.Submit(cellReq("eon")); err != nil { // holds the worker
 		t.Fatal(err)
@@ -190,7 +218,7 @@ func TestEngineSubmitWaitClientAbandon(t *testing.T) {
 
 func TestEngineAsyncJoinPinsAgainstAbandon(t *testing.T) {
 	release := make(chan struct{})
-	e := stubEngine(t, EngineConfig{Workers: 1, Shards: 1, QueueDepth: 8}, release, nil)
+	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8}, release, nil)
 
 	if _, err := e.Submit(cellReq("eon")); err != nil { // holds the worker
 		t.Fatal(err)
@@ -211,8 +239,8 @@ func TestEngineAsyncJoinPinsAgainstAbandon(t *testing.T) {
 		errCh <- err
 	}()
 	waitUntil(t, time.Second, "waiter to register", func() bool {
-		j.home.mu.Lock()
-		defer j.home.mu.Unlock()
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		return j.waiters == 1
 	})
 	cancel()
@@ -315,7 +343,7 @@ func TestEngineJournalBreakerDegradesAndRecovers(t *testing.T) {
 
 	release := make(chan struct{})
 	e := stubEngine(t, EngineConfig{
-		Workers: 1, Shards: 1, QueueDepth: 8,
+		Workers: 1, QueueDepth: 8,
 		Journal: jnl, Replay: recs, Inject: inj,
 		BreakerFailures: 2, BreakerCooldown: 50 * time.Millisecond,
 	}, release, nil)
@@ -495,7 +523,7 @@ func TestEngineStatuszSnapshot(t *testing.T) {
 
 func TestServerDeadlineShedIs429WithRetryAfter(t *testing.T) {
 	release := make(chan struct{})
-	e := stubEngine(t, EngineConfig{Workers: 1, Shards: 1, QueueDepth: 8}, release, nil)
+	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8}, release, nil)
 	defer close(release)
 	ts := httptest.NewServer(NewServer(e))
 	defer ts.Close()
@@ -545,7 +573,7 @@ func TestServerStatusz(t *testing.T) {
 
 func TestServerWaitClientDisconnectAbandonsJob(t *testing.T) {
 	release := make(chan struct{})
-	e := stubEngine(t, EngineConfig{Workers: 1, Shards: 1, QueueDepth: 8}, release, nil)
+	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8}, release, nil)
 	ts := httptest.NewServer(NewServer(e))
 	defer ts.Close()
 
@@ -577,11 +605,10 @@ func TestServerWaitClientDisconnectAbandonsJob(t *testing.T) {
 	// The client has given up, but the server notices asynchronously:
 	// hold the worker until the handler's SubmitWait has actually
 	// cancelled the job, or the job would just run to completion.
-	sh := e.shardFor(key)
 	waitUntil(t, 2*time.Second, "server to abandon the job", func() bool {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		j := sh.jobs[key]
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		j := e.jobs[key]
 		return j != nil && j.runCtx != nil && context.Cause(j.runCtx) == ErrAbandoned
 	})
 	close(release)

@@ -34,11 +34,10 @@ import (
 // runJob runs a dispatched job to a terminal state. Panics and transient
 // failures retry; any other error, every stop cause included, fails it.
 func (e *Engine) runJob(id int, j *Job) {
-	h := j.home
-	h.mu.Lock()
+	e.mu.Lock()
 	j.state = JobRunning
 	runCtx := j.runCtx // only a queued job is ever revived with a new one
-	h.mu.Unlock()
+	e.mu.Unlock()
 	e.running.Add(1)
 	defer e.running.Add(-1)
 
@@ -54,9 +53,9 @@ func (e *Engine) runJob(id int, j *Job) {
 			w.stats.retries++
 			w.statsMu.Unlock()
 		}
-		h.mu.Lock()
+		e.mu.Lock()
 		j.attempts = attempt + 1
-		h.mu.Unlock()
+		e.mu.Unlock()
 		astart := e.now()
 		data, err := e.attempt(runCtx, j)
 		e.noteLatency(e.now().Sub(astart))
@@ -73,11 +72,11 @@ func (e *Engine) runJob(id int, j *Job) {
 			w.statsMu.Lock()
 			w.stats.panics++
 			w.statsMu.Unlock()
-			h.mu.Lock()
+			e.mu.Lock()
 			j.panics++
-			h.panicCounts[j.Key]++
-			n := h.panicCounts[j.Key]
-			h.mu.Unlock()
+			e.panicCounts[j.Key]++
+			n := e.panicCounts[j.Key]
+			e.mu.Unlock()
 			if n >= e.cfg.QuarantineAfter {
 				e.quarantine(id, j, err)
 				return
@@ -106,9 +105,8 @@ func (e *Engine) stopReason(j *Job) error {
 	if e.closed.Load() {
 		return ErrShutdown
 	}
-	h := j.home
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if context.Cause(j.runCtx) == ErrAbandoned {
 		if j.state != JobQueued || (j.waiters == 0 && !j.pinned) {
 			return ErrAbandoned
@@ -128,10 +126,9 @@ func (e *Engine) stopReason(j *Job) error {
 // deadline (ErrDeadlineExpired), the job timeout (errJobTimeout), and,
 // with the watchdog armed, a cancel the watchdog fires with ErrStuck.
 func (e *Engine) attempt(ctx context.Context, j *Job) ([]byte, error) {
-	h := j.home
-	h.mu.Lock()
+	e.mu.Lock()
 	deadline := j.deadline // joiners may move it between attempts
-	h.mu.Unlock()
+	e.mu.Unlock()
 	var cancel context.CancelFunc
 	if !deadline.IsZero() {
 		ctx, cancel = context.WithDeadlineCause(ctx, deadline, ErrDeadlineExpired)
@@ -247,12 +244,11 @@ func (p *panicError) Error() string {
 // quarantine permanently fails a job whose key keeps panicking and
 // journals the poison marker so it survives restarts.
 func (e *Engine) quarantine(id int, j *Job, cause error) {
-	h := j.home
-	h.mu.Lock()
+	e.mu.Lock()
 	j.state = JobQuarantined
 	j.err = fmt.Errorf("quarantined after %d panics: %w", j.panics, cause)
 	msg := j.err.Error()
-	h.mu.Unlock()
+	e.mu.Unlock()
 	w := e.workers[id]
 	w.statsMu.Lock()
 	w.stats.quarantined++
@@ -269,23 +265,21 @@ func (e *Engine) quarantine(id int, j *Job, cause error) {
 // settle releases a job's run context and closes its done channel —
 // the single exit point for quarantine and finish.
 func (e *Engine) settle(j *Job) {
-	h := j.home
-	h.mu.Lock()
+	e.mu.Lock()
 	j.runCancel(nil)
-	h.mu.Unlock()
+	e.mu.Unlock()
 	close(j.done)
 }
 
 // finish settles a job done (err nil) or failed, counting failures by cause.
 func (e *Engine) finish(id int, j *Job, data []byte, err error) {
-	h := j.home
-	h.mu.Lock()
+	e.mu.Lock()
 	if err != nil {
 		j.state, j.err = JobFailed, err
 	} else {
 		j.state, j.resultJSON = JobDone, data
 	}
-	h.mu.Unlock()
+	e.mu.Unlock()
 	w := e.workers[id]
 	journaled := false
 	if err != nil {
@@ -335,9 +329,9 @@ func (e *Engine) finish(id int, j *Job, data []byte, err error) {
 		w.statsMu.Unlock()
 	}
 	if e.cfg.Journal != nil && !journaled {
-		h.mu.Lock()
+		e.mu.Lock()
 		j.nonDurable = true
-		h.mu.Unlock()
+		e.mu.Unlock()
 	}
 	e.settle(j)
 }

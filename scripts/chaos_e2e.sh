@@ -4,9 +4,9 @@
 #
 #   1. reference run: boot a daemon, run a fig6 batch to completion,
 #      save every cell's result bytes, shut down cleanly
-#   2. chaos run: boot a daemon with fresh cache + journal dirs and the
-#      sharded dispatcher spread wide (4 workers × 4 shards), submit
-#      the same batch asynchronously, SIGKILL the process mid-batch
+#   2. chaos run: boot a daemon with fresh cache + journal dirs and 4
+#      workers, submit the same batch asynchronously, SIGKILL the
+#      process mid-batch
 #   3. restart the daemon over the same -cache-dir/-journal-dir with the
 #      queue squeezed below the pending backlog, so journal replay must
 #      take its blocking-admission path: the journal replays the
@@ -79,14 +79,10 @@ done
 stop_daemon
 echo "    $nkeys reference cells saved"
 
-echo "==> chaos run: SIGKILL mid-batch (sharded dispatch, 4 workers x 4 shards)"
+echo "==> chaos run: SIGKILL mid-batch (4 workers)"
 start_daemon "$workdir/daemon-chaos1.log" \
-    -workers 4 -shards 4 \
+    -workers 4 \
     -cache-dir "$workdir/cache" -journal-dir "$workdir/journal"
-curl -fsS "$base/metrics" | grep -q '"jobs_stolen":' \
-    || fail "metrics is missing the jobs_stolen counter"
-curl -fsS "$base/metrics" | grep -q '"shards":\[' \
-    || fail "metrics is missing the per-shard section"
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$batch" \
     "$base/v1/jobs" >/dev/null
 # SIGKILL as soon as some cells are done but not all: that leaves done
@@ -109,7 +105,7 @@ pid=""
 # capacity and feed jobs in as workers drain them.
 echo "==> restart over the same cache + journal (queue squeezed to 2)"
 start_daemon "$workdir/daemon-chaos2.log" \
-    -workers 4 -shards 4 -queue 2 \
+    -workers 4 -queue 2 \
     -cache-dir "$workdir/cache" -journal-dir "$workdir/journal"
 grep -q 'journal: replayed' "$workdir/daemon-chaos2.log" || fail "restart did not replay the journal"
 pending="$(sed -n 's/.*, \([0-9]*\) pending jobs resubmitted.*/\1/p' "$workdir/daemon-chaos2.log" | head -n1)"
