@@ -510,10 +510,6 @@ func (s *System) Step() error {
 	return nil
 }
 
-// warmIntervals is the per-benchmark power-measurement window for the
-// background warm start, matching the single-core protocol's window.
-const warmIntervals = 4
-
 // backgroundWarmStart initializes the shared field at the steady state of
 // the workload's background power: each mix benchmark's per-block power is
 // measured on a scratch machine (the analogue of the single-core run's
@@ -541,13 +537,13 @@ func (s *System) backgroundWarmStart() error {
 		m.WarmupInstructions = s.Params.Warmup
 		m.WarmupArch()
 		avg := make([]float64, s.nb)
-		for k := 0; k < warmIntervals; k++ {
+		for k := 0; k < sim.ThermalWarmIntervals; k++ {
 			for b, p := range m.StepInterval(false) {
 				avg[b] += p
 			}
 		}
 		for b := range avg {
-			avg[b] /= warmIntervals
+			avg[b] /= sim.ThermalWarmIntervals
 		}
 		perBench[i] = avg
 		return nil
@@ -572,31 +568,10 @@ func (s *System) backgroundWarmStart() error {
 	for c := range s.cores {
 		copy(warm[c*s.nb:(c+1)*s.nb], bg)
 	}
-	s.Th.WarmStart(warm)
-	s.clampBelowThreshold()
+	// Clamped below the critical threshold, so the first intervals
+	// measure scheduling, not the initial condition.
+	s.Th.WarmStartBelow(warm, s.base.MaxTempK-0.5)
 	return nil
-}
-
-// clampBelowThreshold scales the warm-started field back toward ambient if
-// any block would otherwise start at or above the critical threshold, so
-// the first intervals measure scheduling, not the initial condition.
-func (s *System) clampBelowThreshold() {
-	temps := s.Th.Temps(s.temps)
-	maxT := 0.0
-	for _, t := range temps {
-		if t > maxT {
-			maxT = t
-		}
-	}
-	limit := s.base.MaxTempK - 0.5
-	if maxT < limit {
-		return
-	}
-	scale := (limit - s.base.AmbientK) / (maxT - s.base.AmbientK)
-	for i := range temps {
-		temps[i] = s.base.AmbientK + (temps[i]-s.base.AmbientK)*scale
-	}
-	s.Th.SetTemps(temps)
 }
 
 // retire frees cores whose task has used up its budget; they become

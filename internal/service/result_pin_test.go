@@ -17,7 +17,7 @@ import (
 // by ~1e-12 K passes them while changing every cached result byte; these
 // pins catch that.
 //
-// Each cell runs well past the thermalWarmIntervals sensor intervals
+// Each cell runs well past the sim.ThermalWarmIntervals sensor intervals
 // that only measure warm-start power (4 × 10k cycles): a shorter cell
 // never samples a temperature and so cannot see the warm start. The
 // multicore request tiles two cores, the largest shared die the small-

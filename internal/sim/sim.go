@@ -225,9 +225,10 @@ func (s *Simulator) WarmState() *pipeline.WarmState {
 // once it is installed.
 func (s *Simulator) ShareWarmup(ws *pipeline.WarmState) { s.warm = ws }
 
-// thermalWarmIntervals is the number of sensor intervals executed before
-// the thermal warm start, to measure representative power.
-const thermalWarmIntervals = 4
+// ThermalWarmIntervals is the number of sensor intervals executed before
+// the thermal warm start, to measure representative power. The
+// multicore background warm start measures over the same window.
+const ThermalWarmIntervals = 4
 
 // RunCycles executes the benchmark for a fixed number of total cycles
 // (including cooling stalls). Fixed-cycle runs give every configuration
@@ -260,11 +261,11 @@ func (s *Simulator) run(more func() bool) *Result {
 	secPerCycle := s.Cfg.ThermalSecondsPerCycle()
 
 	// Phase 1: measure representative power over a few intervals, then
-	// warm-start the thermal network at (or safely below) its steady
-	// state for that power.
+	// warm-start the thermal network at its steady state for that power,
+	// clamped below the critical threshold.
 	warmPow := make([]float64, s.Plan.NumBlocks())
 	warmed := 0
-	for i := 0; i < thermalWarmIntervals && more(); i++ {
+	for i := 0; i < ThermalWarmIntervals && more(); i++ {
 		s.runInterval(interval)
 		s.Meter.Drain(interval, 0, s.powBuf)
 		for b := range warmPow {
@@ -276,7 +277,7 @@ func (s *Simulator) run(more func() bool) *Result {
 		for b := range warmPow {
 			warmPow[b] /= float64(warmed)
 		}
-		s.warmStartBelowThreshold(warmPow)
+		s.Th.WarmStartBelow(warmPow, s.Cfg.MaxTempK-0.5)
 	}
 
 	// Phase 2: measured execution under dynamic thermal management.
@@ -342,30 +343,6 @@ func (s *Simulator) coolingStall(cycles int) {
 		s.stallCycles += int64(chunk)
 		cycles -= chunk
 	}
-}
-
-// warmStartBelowThreshold warm-starts the thermal network from the steady
-// state of the measured power, scaled back toward ambient if that steady
-// state would start any block at or above the critical threshold (the
-// physical system can never have gotten there).
-func (s *Simulator) warmStartBelowThreshold(pow []float64) {
-	s.Th.WarmStart(pow)
-	temps := s.Th.Temps(nil)
-	maxT := 0.0
-	for _, t := range temps {
-		if t > maxT {
-			maxT = t
-		}
-	}
-	limit := s.Cfg.MaxTempK - 0.5
-	if maxT < limit {
-		return
-	}
-	scale := (limit - s.Cfg.AmbientK) / (maxT - s.Cfg.AmbientK)
-	for i := range temps {
-		temps[i] = s.Cfg.AmbientK + (temps[i]-s.Cfg.AmbientK)*scale
-	}
-	s.Th.SetTemps(temps)
 }
 
 // sampleTemps accumulates the per-block average (over non-stalled samples)

@@ -311,6 +311,29 @@ func (m *Model) WarmStart(power []float64) {
 	copy(m.t, m.solveSteady(power))
 }
 
+// WarmStartBelow warm-starts the network from the steady state for the
+// given power and then, if that steady state would start any block at
+// or above limit, scales every block's rise over ambient so the
+// hottest starts at limit — a physical system under thermal management
+// can never have gotten hotter.
+func (m *Model) WarmStartBelow(power []float64, limit float64) {
+	m.WarmStart(power)
+	blocks := m.t[:m.n]
+	maxT := 0.0
+	for _, t := range blocks {
+		if t > maxT {
+			maxT = t
+		}
+	}
+	if maxT < limit {
+		return
+	}
+	scale := (limit - m.ambient) / (maxT - m.ambient)
+	for i, t := range blocks {
+		blocks[i] = m.ambient + (t-m.ambient)*scale
+	}
+}
+
 // solveSteady returns the equilibrium of every node (blocks, spreader,
 // sink) under the given per-block power, choosing the solver by network
 // size (see gaussMaxNodes). The result may alias model scratch.

@@ -167,6 +167,38 @@ func TestWarmStartMatchesSteadyState(t *testing.T) {
 	}
 }
 
+// TestWarmStartBelow pins the clamp: a steady state under the limit is
+// the plain warm start, and one over it has every block's rise over
+// ambient scaled so the hottest block starts exactly at the limit.
+func TestWarmStartBelow(t *testing.T) {
+	m, _, cfg := newModel(t)
+	p := make([]float64, m.NumBlocks())
+	for i := range p {
+		p[i] = 0.5 + 0.1*float64(i%4)
+	}
+	steady := m.SteadyState(p)
+	hottest := 0.0
+	for _, temp := range steady {
+		hottest = math.Max(hottest, temp)
+	}
+
+	m.WarmStartBelow(p, hottest+1)
+	for i, want := range steady {
+		if m.Temp(i) != want {
+			t.Fatalf("under the limit: block %d at %v, want the steady state %v", i, m.Temp(i), want)
+		}
+	}
+
+	limit := cfg.AmbientK + (hottest-cfg.AmbientK)/2
+	m.WarmStartBelow(p, limit)
+	for i, want := range steady {
+		want = cfg.AmbientK + (want-cfg.AmbientK)/2
+		if math.Abs(m.Temp(i)-want) > 1e-9 {
+			t.Fatalf("over the limit: block %d at %v, want %v", i, m.Temp(i), want)
+		}
+	}
+}
+
 func TestCoolingDecaysTowardAmbient(t *testing.T) {
 	m, _, _ := newModel(t)
 	p := make([]float64, m.NumBlocks())
