@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -94,35 +93,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	r := s.RunCycles(*cycles)
-
-	fmt.Fprintf(stdout, "benchmark    %s\n", r.Benchmark)
-	fmt.Fprintf(stdout, "floorplan    %v\n", r.Plan)
-	fmt.Fprintf(stdout, "techniques   %v\n", r.Techniques)
-	fmt.Fprintf(stdout, "cycles       %d (%d active, %d stalled)\n", r.Cycles, r.ActiveCycles, r.StallCycles)
-	fmt.Fprintf(stdout, "committed    %d instructions\n", r.Committed)
-	fmt.Fprintf(stdout, "IPC          %.3f\n", r.IPC)
-	fmt.Fprintf(stdout, "chip power   %.1f W (average)\n", r.AvgChipPowerW)
-	fmt.Fprintf(stdout, "events       %d cooling stalls, %d IQ toggles (%d int / %d fp), %d ALU turnoffs, %d RF-copy turnoffs\n",
-		r.Stalls, r.IntToggles+r.FPToggles, r.IntToggles, r.FPToggles, r.ALUTurnoffs, r.RFCopyTurnoffs)
-	hot, temp := r.HottestBlock()
-	fmt.Fprintf(stdout, "hottest      %s at %.1f K average\n", hot, temp)
-
 	if *showTemps {
-		fmt.Fprintln(stdout, "\nper-block temperatures (avg / peak, K):")
-		avg := func(n string) float64 { t, _ := r.AvgTemp(n); return t }
-		names := s.Plan.Blocks
-		idx := make([]int, len(names))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			return avg(names[idx[a]].Name) > avg(names[idx[b]].Name)
-		})
-		for _, i := range idx {
-			n := names[i].Name
-			peak, _ := r.PeakTemp(n)
-			fmt.Fprintf(stdout, "  %-10s %7.2f / %7.2f\n", n, avg(n), peak)
-		}
+		fmt.Fprint(stdout, r.Report())
+	} else {
+		fmt.Fprint(stdout, r.Summary())
 	}
 	return 0
 }

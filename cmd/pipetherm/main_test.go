@@ -22,6 +22,15 @@ func TestRunHappyPath(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+
+	// Without -temps the summary prints alone.
+	code, out, errOut = runCLI("-bench", "eon", "-cycles", "100000")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "hottest") || strings.Contains(out, "per-block temperatures") {
+		t.Errorf("output without -temps is not the summary alone:\n%s", out)
+	}
 }
 
 // TestRunRejectsUnknownNames pins the usage-error contract: unknown

@@ -216,7 +216,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		fmt.Fprint(w, CellReport(&res))
+		fmt.Fprint(w, res.Report())
 		return
 	}
 	if st, ok := s.engine.BatchJob(id); ok {

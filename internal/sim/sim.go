@@ -15,6 +15,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -177,6 +179,42 @@ func (r *Result) String() string {
 	return fmt.Sprintf("%s [%v, %v]: IPC %.2f (%d stalls, %d toggle, %d turnoff)",
 		r.Benchmark, r.Plan, r.Techniques, r.IPC, r.Stalls,
 		r.IntToggles+r.FPToggles, r.ALUTurnoffs+r.RFCopyTurnoffs)
+}
+
+// Summary renders the run as the human-readable text block pipetherm
+// prints: configuration, cycles, IPC, power, event counts and the
+// hottest block.
+func (r *Result) Summary() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "benchmark    %s\n", r.Benchmark)
+	fmt.Fprintf(&sb, "floorplan    %v\n", r.Plan)
+	fmt.Fprintf(&sb, "techniques   %v\n", r.Techniques)
+	fmt.Fprintf(&sb, "cycles       %d (%d active, %d stalled)\n", r.Cycles, r.ActiveCycles, r.StallCycles)
+	fmt.Fprintf(&sb, "committed    %d instructions\n", r.Committed)
+	fmt.Fprintf(&sb, "IPC          %.3f\n", r.IPC)
+	fmt.Fprintf(&sb, "chip power   %.1f W (average)\n", r.AvgChipPowerW)
+	fmt.Fprintf(&sb, "events       %d cooling stalls, %d IQ toggles (%d int / %d fp), %d ALU turnoffs, %d RF-copy turnoffs\n",
+		r.Stalls, r.IntToggles+r.FPToggles, r.IntToggles, r.FPToggles, r.ALUTurnoffs, r.RFCopyTurnoffs)
+	hot, temp := r.HottestBlock()
+	fmt.Fprintf(&sb, "hottest      %s at %.1f K average\n", hot, temp)
+	return sb.String()
+}
+
+// Report is the Summary followed by the per-block temperatures, sorted
+// hottest first.
+func (r *Result) Report() string {
+	var sb strings.Builder
+	sb.WriteString(r.Summary())
+	sb.WriteString("\nper-block temperatures (avg / peak, K):\n")
+	idx := make([]int, len(r.blockNames))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return r.avgTemp[idx[a]] > r.avgTemp[idx[b]] })
+	for _, i := range idx {
+		fmt.Fprintf(&sb, "  %-10s %7.2f / %7.2f\n", r.blockNames[i], r.avgTemp[i], r.peakTemp[i])
+	}
+	return sb.String()
 }
 
 // DefaultWarmup is the architectural warmup length in instructions.
