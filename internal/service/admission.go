@@ -5,7 +5,6 @@ package service
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"repro/internal/journal"
@@ -93,7 +92,7 @@ func (e *Engine) SubmitWait(ctx context.Context, req Request, opt SubmitOptions)
 
 // submitLocked is the admission path for one job; the caller holds
 // e.mu. With reserved true (batch admission) the caller has already
-// checked queue capacity for the whole batch. abandonable marks a
+// admitted the whole batch, deadline and capacity. abandonable marks a
 // sole-synchronous-waiter submission; any other join pins the job
 // against client abandonment.
 func (e *Engine) submitLocked(key string, req Request, opt SubmitOptions, reserved, abandonable bool) (*Job, error) {
@@ -133,16 +132,10 @@ func (e *Engine) submitLocked(key string, req Request, opt SubmitOptions, reserv
 		// Done but evicted from the cache: still serve the job's bytes.
 		return j, nil
 	}
-	if !opt.Deadline.IsZero() {
-		if wait := e.drainTime(e.queuedLocked()); wait > 0 && e.now().Add(wait).After(opt.Deadline) {
-			e.shedAdmission.Add(1)
-			e.noteReject()
-			return nil, ErrDeadlineUnmeetable
+	if !reserved {
+		if err := e.admitLocked(1, opt.Deadline); err != nil {
+			return nil, err
 		}
-	}
-	if !reserved && e.queuedLocked() >= e.cfg.QueueDepth {
-		e.noteReject()
-		return nil, ErrQueueFull
 	}
 	j := &Job{Key: key, Req: req, state: JobQueued, done: make(chan struct{}),
 		deadline: opt.Deadline, pinned: !abandonable}
@@ -154,8 +147,30 @@ func (e *Engine) submitLocked(key string, req Request, opt SubmitOptions, reserv
 	}
 	e.queue = append(e.queue, j)
 	e.jobs[key] = j
-	e.signalWork()
+	e.work.Signal()
 	return j, nil
+}
+
+// admitLocked is deadline admission and the queue-capacity check for n
+// jobs about to be enqueued together — one submission, or a batch's
+// cold cells. The last of them waits behind queued+n−1 jobs, so the
+// deadline is checked against that drain time, and all n must fit in
+// the queue. A rejection stamps the overload-hysteresis clock. Caller
+// holds e.mu.
+func (e *Engine) admitLocked(n int, deadline time.Time) error {
+	queued := e.queuedLocked()
+	if !deadline.IsZero() {
+		if wait := e.drainTime(queued + n - 1); wait > 0 && e.now().Add(wait).After(deadline) {
+			e.stats.shedAdmission++
+			e.lastReject = e.now()
+			return ErrDeadlineUnmeetable
+		}
+	}
+	if queued+n > e.cfg.QueueDepth {
+		e.lastReject = e.now()
+		return ErrQueueFull
+	}
+	return nil
 }
 
 // SubmitBatch expands the batch into cell jobs and registers an
@@ -169,9 +184,11 @@ func (e *Engine) SubmitBatch(breq BatchRequest) (*Batch, error) {
 	return e.SubmitBatchOpts(breq, SubmitOptions{})
 }
 
-// SubmitBatchOpts is SubmitBatch with overload-protection options; the
-// deadline applies to every cell, and a single unmeetable cell rejects
-// the whole batch (all-or-nothing, like capacity).
+// SubmitBatchOpts is SubmitBatch with overload-protection options. The
+// deadline applies to every cell and is admitted with the capacity,
+// before any cell is enqueued: if the last cold cell could not meet it,
+// the whole batch is rejected with ErrDeadlineUnmeetable and nothing is
+// enqueued (all-or-nothing, like capacity).
 func (e *Engine) SubmitBatchOpts(breq BatchRequest, opt SubmitOptions) (*Batch, error) {
 	key, err := breq.Key()
 	if err != nil {
@@ -204,10 +221,10 @@ func (e *Engine) SubmitBatchOpts(breq BatchRequest, opt SubmitOptions) (*Batch, 
 		return b, nil
 	}
 
-	// Admission: count the cells that need a queue slot and check them
-	// against free capacity. Workers cannot pop and no submitter can
-	// enqueue while we hold the lock, so the count stays true until the
-	// cells are in.
+	// Admission: count the cells that need a queue slot and admit them
+	// together, deadline and capacity. Workers cannot pop and no
+	// submitter can enqueue while we hold the lock, so the count stays
+	// true until the cells are in.
 	need := 0
 	for i := range cells {
 		j, known := e.jobs[keys[i]]
@@ -216,9 +233,10 @@ func (e *Engine) SubmitBatchOpts(breq BatchRequest, opt SubmitOptions) (*Batch, 
 			need++
 		}
 	}
-	if e.queuedLocked()+need > e.cfg.QueueDepth {
-		e.noteReject()
-		return nil, ErrQueueFull
+	if need > 0 {
+		if err := e.admitLocked(need, opt.Deadline); err != nil {
+			return nil, err
+		}
 	}
 
 	b := &Batch{Key: key, Spec: spec, state: JobQueued, done: make(chan struct{})}
@@ -226,8 +244,7 @@ func (e *Engine) SubmitBatchOpts(breq BatchRequest, opt SubmitOptions) (*Batch, 
 	for i, c := range cells {
 		j, err := e.submitLocked(keys[i], c, opt, true, false)
 		if err != nil {
-			// A cell was shed (deadline unmeetable) or the engine closed
-			// under us: reject the whole batch.
+			// The engine closed under us: reject the whole batch.
 			b.state, b.err = JobFailed, err
 			close(b.done)
 			e.batches[key] = b
@@ -259,50 +276,33 @@ func (e *Engine) aggregate(b *Batch) {
 }
 
 // noteLatency folds one attempt's wall-clock duration into the EWMA
-// (α = 0.2) behind drainTime's wait estimate. Stored as float64 bits
-// in an atomic, CAS-looped: workers record concurrently and the submit
-// path reads lock-free.
+// (α = 0.2) behind drainTime's wait estimate.
 func (e *Engine) noteLatency(d time.Duration) {
-	s := d.Seconds()
-	for {
-		old := e.latEWMA.Load()
-		next := s
-		if old != 0 {
-			next = 0.8*math.Float64frombits(old) + 0.2*s
-		}
-		if e.latEWMA.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.latEWMA == 0 {
+		e.latEWMA = d.Seconds()
+	} else {
+		e.latEWMA = 0.8*e.latEWMA + 0.2*d.Seconds()
 	}
-}
-
-// latencyEWMA returns the smoothed per-job latency, zero when no job
-// has completed an attempt yet.
-func (e *Engine) latencyEWMA() time.Duration {
-	return time.Duration(math.Float64frombits(e.latEWMA.Load()) * float64(time.Second))
 }
 
 // drainTime estimates how long queued jobs take to drain through all
 // workers at the observed per-job latency: queued × EWMA / workers.
 // Admission sheds a deadline this wait already blows, and Retry-After
-// rounds it up.
+// rounds it up. Caller holds e.mu.
 func (e *Engine) drainTime(queued int) time.Duration {
-	return time.Duration(queued) * e.latencyEWMA() / time.Duration(len(e.workers))
-}
-
-// noteReject stamps the overload-hysteresis clock: the health state
-// machine reports overloaded for overloadHold after the last rejection.
-func (e *Engine) noteReject() {
-	e.lastReject.Store(e.now().UnixNano())
+	ewma := time.Duration(e.latEWMA * float64(time.Second))
+	return time.Duration(queued) * ewma / time.Duration(e.cfg.Workers)
 }
 
 // RetryAfterSeconds is the Retry-After hint served with 429 responses:
 // the drain time of the current queue, rounded up, at least 1s.
 func (e *Engine) RetryAfterSeconds() int {
 	e.mu.Lock()
-	queued := e.queuedLocked()
+	wait := e.drainTime(e.queuedLocked())
 	e.mu.Unlock()
-	secs := int((e.drainTime(queued) + time.Second - 1) / time.Second)
+	secs := int((wait + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}

@@ -47,9 +47,9 @@ func (e *Engine) recoverJournal(recs []journal.Record) {
 }
 
 // replayPending resubmits journaled pending jobs. A full queue blocks
-// on the capacity-freed signal rather than polling, so recovered work
-// admits the moment a slot opens and /readyz flips as soon as the last
-// replay lands.
+// on e.space, which every pop signals, rather than polling, so
+// recovered work admits the moment a slot opens and /readyz flips as
+// soon as the last replay lands. Shutdown wakes it to stop.
 func (e *Engine) replayPending(pending []journal.Record) {
 	defer e.replayed.Store(true)
 	for _, rec := range pending {
@@ -71,11 +71,11 @@ func (e *Engine) replayPending(pending []journal.Record) {
 			if !errors.Is(err, ErrQueueFull) {
 				break // invalid under current config, or engine shut down
 			}
-			select {
-			case <-e.spaceCh:
-			case <-e.baseCtx.Done():
-				return
+			e.mu.Lock()
+			for e.queuedLocked() >= e.cfg.QueueDepth && !e.closed.Load() {
+				e.space.Wait()
 			}
+			e.mu.Unlock()
 		}
 	}
 }

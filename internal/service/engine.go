@@ -4,10 +4,12 @@
 // states. One Engine is shared by the HTTP daemon (cmd/pipethermd) and
 // the in-process matrix path (cmd/experiments -cache-dir).
 //
-// One engine mutex guards the job map, the batches and one FIFO run
-// queue that every worker pops from (dispatch.go), so single-flight,
+// One engine mutex guards the engine's state — the job map, the
+// batches, one FIFO run queue that every worker pops from (dispatch.go),
+// and the counters and health state behind /metrics — so single-flight,
 // the 429 at QueueDepth, all-or-nothing batch admission and journal
-// ordering are each decided under that one lock.
+// ordering are each decided under that one lock, and /metrics is one
+// coherent reading.
 //
 // This file holds the engine's types, NewEngine, the job and batch
 // queries, and Shutdown; admission.go, run.go, durability.go and
@@ -213,11 +215,6 @@ type EngineConfig struct {
 	BreakerLatency  time.Duration
 	BreakerCooldown time.Duration
 
-	// OverloadHold is how long after a shed/rejection the engine keeps
-	// reporting the overloaded health state (hysteresis so /readyz does
-	// not flap on a single burst); <= 0 means 2s.
-	OverloadHold time.Duration
-
 	// Inject is the chaos-testing seam (internal/faultinject); nil — the
 	// production case — disarms every site. Its clock, when set, also
 	// drives the breakers' cooldown timing and deadline arithmetic.
@@ -232,24 +229,42 @@ type EngineConfig struct {
 type Engine struct {
 	cfg EngineConfig // normalized by NewEngine: every default applied
 
-	// mu guards the job map, the per-key panic counters, the run queue
-	// (push at the tail, pop at queue[qhead]; dispatch.go), the batches,
-	// the dedup count and every Job's mutable fields.
+	// mu is the one lock over the engine's state: the job map, the
+	// per-key panic counters, the run queue (push at the tail, pop at
+	// queue[qhead]; dispatch.go), the batches, every Job's mutable
+	// fields, the counters and telemetry folds behind /metrics, the
+	// retry-jitter rng, the latency EWMA, the last-rejection stamp and
+	// the health state machine. Idle workers wait on work (signalled on
+	// each enqueue) and a journal replay blocked by a full queue waits
+	// on space (signalled on each pop); both are condition variables of
+	// mu.
 	mu          sync.Mutex
+	work        sync.Cond
+	space       sync.Cond
 	jobs        map[string]*Job
 	panicCounts map[string]int // recovered panics per job key
 	queue       []*Job
 	qhead       int
 	batches     map[string]*Batch
 	deduped     uint64 // single-flight and batch joins
+	running     int    // jobs a worker has started and not yet settled
+	stats       engineStats
+	jitter      *rng.Source // retry-backoff jitter
 
-	// wakeCh carries work-available tokens to idle workers; spaceCh
-	// nudges the blocking journal-replay submitter when a queue slot
-	// frees; stopCh closes when Shutdown begins.
-	workers []*workerState
-	wakeCh  chan struct{}
-	spaceCh chan struct{}
-	stopCh  chan struct{}
+	// Overload protection (see DESIGN.md, "Overload and degraded
+	// modes"), under mu: latEWMA is the exponentially weighted moving
+	// average of attempt latency in seconds; lastReject is the most
+	// recent shed or queue-full rejection, the overload-hysteresis
+	// signal; the health fields are the state machine behind /readyz.
+	latEWMA       float64
+	lastReject    time.Time
+	healthCur     HealthState
+	healthSince   time.Time
+	healthEntered map[HealthState]uint64
+
+	// stopCh closes when Shutdown begins; retry backoffs and the
+	// maintenance loop wake on it.
+	stopCh chan struct{}
 
 	closed   atomic.Bool // Shutdown has begun
 	draining atomic.Bool // readiness off ahead of shutdown (BeginDrain)
@@ -260,33 +275,37 @@ type Engine struct {
 	cancel  context.CancelCauseFunc
 	wg      sync.WaitGroup
 
-	start       time.Time
-	running     atomic.Int64
-	journalErrs atomic.Uint64
-
-	// Overload protection (see DESIGN.md, "Overload and degraded
-	// modes"). now is the clock seam (the injector's fake clock in
-	// tests, time.Now in production); latEWMA holds float64 bits of the
-	// exponentially weighted moving average of attempt latency in
-	// seconds; lastReject is the UnixNano of the most recent
-	// shed/queue-full rejection, the overload-hysteresis signal.
+	start time.Time
+	// now is the clock seam: the injector's fake clock in tests,
+	// time.Now in production.
 	now            func() time.Time
 	cbrk           *Breaker // cache-disk breaker
 	jbrk           *Breaker // journal breaker
-	latEWMA        atomic.Uint64
-	lastReject     atomic.Int64
-	shedAdmission  atomic.Uint64
+	journalErrs    atomic.Uint64
 	journalSkipped atomic.Uint64
 	rejournalMu    sync.Mutex // one re-journal compaction at a time
-
-	healthMu      sync.Mutex
-	healthCur     HealthState
-	healthSince   time.Time
-	healthEntered map[HealthState]uint64
 
 	// runCell executes one cell and returns its canonical result JSON.
 	// Tests replace it with a controllable stub; production uses runCell.
 	run func(ctx context.Context, req Request) ([]byte, error)
+}
+
+// engineStats are the run-side counters and telemetry folds behind
+// /metrics, guarded by Engine.mu.
+type engineStats struct {
+	completed     uint64
+	failed        uint64
+	retries       uint64
+	panics        uint64
+	quarantined   uint64
+	shedExpired   uint64 // client deadline passed before the job completed
+	shedAdmission uint64 // deadline unmeetable at admission
+	abandoned     uint64 // sole synchronous waiter disconnected
+	watchdog      uint64 // attempts force-failed for lack of progress
+
+	util    UtilizationMetrics // sums over the cells this engine simulated
+	mc      MulticoreMetrics   // sums over its multicore runs, peaks as maxima
+	mcCoreN []uint64           // its multicore runs per core
 }
 
 // NewEngine starts an engine with cfg.Workers simulation workers. With
@@ -318,21 +337,17 @@ func NewEngine(cfg EngineConfig) *Engine {
 	case cfg.Watchdog < 0:
 		cfg.Watchdog = 0
 	}
-	if cfg.OverloadHold <= 0 {
-		cfg.OverloadHold = 2 * time.Second
-	}
 	cfg.Workers = runner.Resolve(cfg.Workers, 0)
 	replay := cfg.Replay
 	cfg.Replay = nil // recovered once below; not retained
 	ctx, cancel := context.WithCancelCause(context.Background())
 	e := &Engine{
 		cfg:           cfg,
-		wakeCh:        make(chan struct{}, cfg.QueueDepth),
-		spaceCh:       make(chan struct{}, 1),
 		stopCh:        make(chan struct{}),
 		jobs:          make(map[string]*Job),
 		panicCounts:   make(map[string]int),
 		batches:       make(map[string]*Batch),
+		jitter:        rng.New(defaultJitterSeed),
 		baseCtx:       ctx,
 		cancel:        cancel,
 		start:         time.Now(),
@@ -341,6 +356,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		healthCur:     HealthHealthy,
 		healthEntered: map[HealthState]uint64{HealthHealthy: 1},
 	}
+	e.work.L, e.space.L = &e.mu, &e.mu
 	e.healthSince = e.now()
 	e.cbrk = newBreaker("cache", cfg.BreakerFailures, cfg.BreakerLatency, cfg.BreakerCooldown, e.now)
 	cfg.Cache.SetBreaker(e.cbrk)
@@ -350,14 +366,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.runFunc != nil {
 		e.run = cfg.runFunc
 	}
-	e.workers = make([]*workerState, cfg.Workers)
-	for i := range e.workers {
-		e.workers[i] = &workerState{rng: rng.New(jitterSeed(defaultJitterSeed, i))}
-	}
 	e.replayed.Store(true)
-	for i := range e.workers {
+	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
-		go e.worker(i)
+		go e.worker()
 	}
 	e.recoverJournal(replay)
 	if cfg.Journal != nil {
@@ -572,11 +584,15 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	}
 	e.draining.Store(true)
 	// Fence: a submitter past the closed check holds the engine lock
-	// until its job is enqueued, so after one lock/unlock every
-	// in-flight enqueue is visible to the workers' shutdown sweep and
-	// every later submit fails with ErrShutdown.
+	// until its job is enqueued, so after this critical section every
+	// in-flight enqueue is in the queue and every later submit fails
+	// with ErrShutdown. Its broadcasts wake the idle workers, which pop
+	// what is queued (each job fails fast with ErrShutdown) and exit,
+	// and a journal replay waiting for queue space, which stops.
 	e.mu.Lock()
-	e.mu.Unlock() //nolint:staticcheck // empty critical section as a fence
+	e.work.Broadcast()
+	e.space.Broadcast()
+	e.mu.Unlock()
 	close(e.stopCh)
 
 	// At ctx's deadline, cancel the base context: in-flight runs end

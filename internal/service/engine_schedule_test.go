@@ -280,13 +280,12 @@ func waitQuiescent(t *testing.T, e *Engine, stub *scheduleStub) {
 				live++
 			}
 		}
-		q := int64(e.queuedLocked())
+		q, run := int64(e.queuedLocked()), int64(e.running)
 		e.mu.Unlock()
-		run := e.running.Load()
-		return run == stub.blocked.Load() && live == q+run && (q == 0 || run == int64(len(e.workers)))
+		return run == stub.blocked.Load() && live == q+run && (q == 0 || run == int64(e.cfg.Workers))
 	}
-	// Two quiet readings in a row: the running and blocked counters are
-	// read outside the engine lock.
+	// Two quiet readings in a row: the stub's blocked counter is read
+	// outside the engine lock.
 	deadline := time.Now().Add(5 * time.Second)
 	for streak := 0; streak < 2; time.Sleep(5 * time.Millisecond) {
 		if streak++; !quiet() {

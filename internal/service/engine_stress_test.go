@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/rng"
 )
 
 // stubResultJSON is the minimal result body the stress stubs return —
@@ -304,36 +303,6 @@ func mustKey(t *testing.T, r Request) string {
 		t.Fatal(err)
 	}
 	return k
-}
-
-// TestJitterSeedDeterministic pins the per-worker jitter derivation:
-// the same (seed, worker) pair always yields the same stream, and
-// distinct workers get decorrelated streams.
-func TestJitterSeedDeterministic(t *testing.T) {
-	draw := func(seed uint64, worker, n int) []uint64 {
-		src := rng.New(jitterSeed(seed, worker))
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = src.Uint64()
-		}
-		return out
-	}
-	a, b := draw(1, 0, 8), draw(1, 0, 8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same (seed, worker) diverged at draw %d", i)
-		}
-	}
-	c := draw(1, 1, 8)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Fatal("workers 0 and 1 share a jitter stream")
-	}
 }
 
 // TestEngineStressBatchAdmissionVsShutdown lands Shutdown in the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -388,6 +389,125 @@ func TestEngineJournalReplaysInterruptedJobs(t *testing.T) {
 	if len(pending3) != 0 {
 		t.Errorf("jobs still pending after a clean run: %+v", pending3)
 	}
+}
+
+// pendingJournal leaves n pending submits in a fresh journal under dir,
+// as a crashed engine would, and returns their keys.
+func pendingJournal(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	jnl, _, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		req := Request{Benchmark: "eon", Cycles: 100_000 + int64(i), Warmup: 10_000}
+		c, err := req.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = mustKey(t, req)
+		if err := jnl.Append(journal.Record{Op: journal.OpSubmit, Key: keys[i], Req: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// TestEngineJournalReplayIntoFullQueue replays more pending jobs than
+// the queue holds — six pending submits, one worker, QueueDepth 1 — so
+// the replay must wait for queue space. While it waits, readiness says
+// "journal replay"; every job then settles done exactly once, and
+// readiness returns once the overload hold stamped by the replay's own
+// queue-full retries has lapsed. Shutdown while the replay waits
+// returns promptly and leaves all six jobs pending in the journal.
+func TestEngineJournalReplayIntoFullQueue(t *testing.T) {
+	const n = 6
+	clk := faultinject.NewClock(time.Now())
+	start := func(t *testing.T, run func(ctx context.Context, req Request) ([]byte, error)) (*Engine, string, []string) {
+		dir := t.TempDir()
+		keys := pendingJournal(t, dir, n)
+		cfg := journalCfg(t, dir, run)
+		cfg.QueueDepth = 1
+		cfg.Inject = faultinject.New()
+		cfg.Inject.SetClock(clk)
+		e := NewEngine(cfg)
+		// One job runs and one fills the queue: the replay can add
+		// nothing more until a pop.
+		waitUntil(t, 5*time.Second, "one job running and one queued", func() bool {
+			m := e.Metrics()
+			return m.JobsRunning == 1 && m.JobsQueued == 1
+		})
+		if ready, reason := e.Ready(); ready || reason != "journal replay" {
+			t.Errorf("Ready() = %v %q while the replay waits, want false %q", ready, reason, "journal replay")
+		}
+		return e, dir, keys
+	}
+
+	t.Run("settles", func(t *testing.T) {
+		release := make(chan struct{})
+		var mu sync.Mutex
+		runs := make(map[string]int)
+		e, _, keys := start(t, func(ctx context.Context, req Request) ([]byte, error) {
+			<-release
+			key, err := req.Key()
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			runs[key]++
+			mu.Unlock()
+			return stubResult(req.Benchmark), nil
+		})
+		defer shutdownEngine(t, e)
+		close(release)
+		for _, k := range keys {
+			waitJobDone(t, e, k)
+		}
+		waitUntil(t, 5*time.Second, "the replay to finish", e.replayed.Load)
+		if ready, reason := e.Ready(); ready || reason != "overloaded" {
+			t.Errorf("Ready() = %v %q inside the overload hold, want false %q", ready, reason, "overloaded")
+		}
+		clk.Advance(overloadHold + time.Millisecond)
+		if ready, reason := e.Ready(); !ready {
+			t.Errorf("Ready() = false %q after the replay and the overload hold", reason)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, k := range keys {
+			if runs[k] != 1 {
+				t.Errorf("job %s ran %d times, want 1", k, runs[k])
+			}
+		}
+		if m := e.Metrics(); m.JobsCompleted != n {
+			t.Errorf("jobs_completed = %d, want %d", m.JobsCompleted, n)
+		}
+	})
+
+	t.Run("shutdown", func(t *testing.T) {
+		e, dir, _ := start(t, func(ctx context.Context, req Request) ([]byte, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		begin := time.Now()
+		e.Shutdown(ctx)
+		if d := time.Since(begin); d > 2*time.Second {
+			t.Errorf("Shutdown took %v with the replay waiting", d)
+		}
+		waitUntil(t, 5*time.Second, "the replay to stop", e.replayed.Load)
+		_, recs, err := journal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pending, _ := journal.Pending(recs); len(pending) != n {
+			t.Errorf("%d jobs pending after Shutdown, want %d", len(pending), n)
+		}
+	})
 }
 
 // TestEngineQuarantineSurvivesRestart: a quarantine marker written by

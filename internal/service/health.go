@@ -96,28 +96,21 @@ type MulticoreMetrics struct {
 	CorePeakTempK   []float64 `json:"core_peak_temp_k,omitempty"`
 }
 
-// Metrics returns the engine counter snapshot, folding the per-worker
-// accumulators — the only place they are combined.
+// Metrics returns the engine counter snapshot. Everything the engine
+// lock guards — queue, counters, EWMA, telemetry folds and health — is
+// read under one hold of it, so the snapshot is one coherent reading.
 func (e *Engine) Metrics() Metrics {
 	up := time.Since(e.start).Seconds()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	health := e.healthMetrics()
-	ready, _ := e.readiness(HealthState(health.State))
-
 	m := Metrics{
-		UptimeSeconds:     up,
-		JobsRunning:       int(e.running.Load()),
-		JournalErrors:     e.journalErrs.Load(),
-		Ready:             ready,
-		JobsShedAdmission: e.shedAdmission.Load(),
-		JournalSkipped:    e.journalSkipped.Load(),
-		Durability:        e.durability(),
-		QueueWaitEWMAMS:   float64(e.latencyEWMA()) / float64(time.Millisecond),
-		CacheBreaker:      e.cbrk.Snapshot(),
-		JournalBreaker:    e.jbrk.Snapshot(),
-		Health:            health,
-		Cache:             e.cfg.Cache.Stats(),
+		UptimeSeconds:  up,
+		JournalErrors:  e.journalErrs.Load(),
+		JournalSkipped: e.journalSkipped.Load(),
+		Durability:     e.durability(),
+		CacheBreaker:   e.cbrk.Snapshot(),
+		JournalBreaker: e.jbrk.Snapshot(),
+		Cache:          e.cfg.Cache.Stats(),
 		Runtime: RuntimeMetrics{
 			Goroutines:      runtime.NumGoroutine(),
 			NumCPU:          runtime.NumCPU(),
@@ -131,38 +124,34 @@ func (e *Engine) Metrics() Metrics {
 	if e.cbrk.State() != BreakerClosed {
 		m.CacheDegraded = 1
 	}
+
 	e.mu.Lock()
-	m.JobsQueued, m.JobsDeduped = e.queuedLocked(), e.deduped
+	state, held := e.healthLocked()
+	m.Health = HealthMetrics{State: string(state), SinceSeconds: held.Seconds(),
+		Entered: make(map[string]uint64, len(e.healthEntered))}
+	for s, n := range e.healthEntered {
+		m.Health.Entered[string(s)] = n
+	}
+	m.JobsQueued, m.JobsRunning, m.JobsDeduped = e.queuedLocked(), e.running, e.deduped
+	st := &e.stats
+	m.JobsCompleted, m.JobsFailed, m.JobsRetried = st.completed, st.failed, st.retries
+	m.JobPanics, m.JobsQuarantined = st.panics, st.quarantined
+	m.JobsShedExpired, m.JobsShedAdmission = st.shedExpired, st.shedAdmission
+	m.JobsClientAbandoned, m.JobsWatchdogFired = st.abandoned, st.watchdog
+	m.QueueWaitEWMAMS = float64(time.Duration(e.latEWMA*float64(time.Second))) / float64(time.Millisecond)
+	m.Utilization = utilizationSnapshot(st.util)
+	m.Multicore = multicoreSnapshot(st.mc, st.mcCoreN)
 	e.mu.Unlock()
 
-	var util UtilizationMetrics
-	var mc MulticoreMetrics
-	var mcCoreN []uint64
-	for _, w := range e.workers {
-		w.statsMu.Lock()
-		st := &w.stats
-		m.JobsCompleted += st.completed
-		m.JobsFailed += st.failed
-		m.JobsRetried += st.retries
-		m.JobPanics += st.panics
-		m.JobsQuarantined += st.quarantined
-		m.JobsShedExpired += st.shedExpired
-		m.JobsClientAbandoned += st.abandoned
-		m.JobsWatchdogFired += st.watchdog
-		addUtilization(&util, st.util)
-		addMulticore(&mc, &mcCoreN, st.mc, st.mcCoreN)
-		w.statsMu.Unlock()
-	}
+	m.Ready, _ = e.readiness(state)
 	if up > 0 {
 		m.CellsPerSecond = float64(m.JobsCompleted) / up
 	}
-	m.Utilization = utilizationSnapshot(util)
-	m.Multicore = multicoreSnapshot(mc, mcCoreN)
 	return m
 }
 
-// addUtilization adds the utilization sum src — one cell's telemetry,
-// or a worker's running sum — into the sum dst.
+// addUtilization adds one cell's utilization telemetry src into the
+// sum dst.
 func addUtilization(dst *UtilizationMetrics, src UtilizationMetrics) {
 	dst.Cells += src.Cells
 	for h := 0; h < 2; h++ {
@@ -173,9 +162,9 @@ func addUtilization(dst *UtilizationMetrics, src UtilizationMetrics) {
 	dst.RFReadShare = addVec(dst.RFReadShare, src.RFReadShare)
 }
 
-// addMulticore adds the multicore sum src — one run, or a worker's
-// running sum — with per-core run counts srcN into the sum dst with
-// counts dstN. Peak temperatures fold as maxima.
+// addMulticore adds one multicore run src, with per-core run counts
+// srcN, into the sum dst with counts dstN. Peak temperatures fold as
+// maxima.
 func addMulticore(dst *MulticoreMetrics, dstN *[]uint64, src MulticoreMetrics, srcN []uint64) {
 	dst.Runs += src.Runs
 	dst.CoolingStalls += src.CoolingStalls
@@ -268,49 +257,37 @@ const (
 	HealthDraining   HealthState = "draining"
 )
 
-// evalHealth derives the current state from the engine's signals. A
-// rejection keeps the engine overloaded for overloadHold — hysteresis,
-// so one burst does not flap /readyz per request.
-func (e *Engine) evalHealth() HealthState {
+// overloadHold is how long after a shed or queue-full rejection the
+// engine keeps reporting overloaded: hysteresis, so one burst does not
+// flap /readyz per request.
+const overloadHold = 2 * time.Second
+
+// Health returns the current state and how long it has held.
+func (e *Engine) Health() (HealthState, time.Duration) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.healthLocked()
+}
+
+// healthLocked derives the current state from the engine's signals,
+// folds a transition into the per-state entered counters, and returns
+// the state and how long it has held. Caller holds e.mu.
+func (e *Engine) healthLocked() (HealthState, time.Duration) {
+	now := e.now()
+	cur := HealthHealthy
 	switch {
 	case e.closed.Load() || e.draining.Load():
-		return HealthDraining
-	case !e.replayed.Load():
-		return HealthOverloaded
+		cur = HealthDraining
+	case !e.replayed.Load() || (!e.lastReject.IsZero() && now.Sub(e.lastReject) < overloadHold):
+		cur = HealthOverloaded
+	case e.cbrk.State() != BreakerClosed || e.jbrk.State() != BreakerClosed:
+		cur = HealthDegraded
 	}
-	if last := e.lastReject.Load(); last != 0 && e.now().UnixNano()-last < int64(e.cfg.OverloadHold) {
-		return HealthOverloaded
-	}
-	if e.cbrk.State() != BreakerClosed || e.jbrk.State() != BreakerClosed {
-		return HealthDegraded
-	}
-	return HealthHealthy
-}
-
-// Health returns the current state and how long it has held, folding
-// transitions into the per-state entered counters.
-func (e *Engine) Health() (HealthState, time.Duration) {
-	cur := e.evalHealth()
-	e.healthMu.Lock()
-	defer e.healthMu.Unlock()
 	if cur != e.healthCur {
-		e.healthCur = cur
-		e.healthSince = e.now()
+		e.healthCur, e.healthSince = cur, now
 		e.healthEntered[cur]++
 	}
-	return cur, e.now().Sub(e.healthSince)
-}
-
-// healthMetrics snapshots the health section for /metrics and /statusz.
-func (e *Engine) healthMetrics() HealthMetrics {
-	state, held := e.Health()
-	e.healthMu.Lock()
-	entered := make(map[string]uint64, len(e.healthEntered))
-	for s, n := range e.healthEntered {
-		entered[string(s)] = n
-	}
-	e.healthMu.Unlock()
-	return HealthMetrics{State: string(state), SinceSeconds: held.Seconds(), Entered: entered}
+	return cur, now.Sub(e.healthSince)
 }
 
 // Ready reports whether the engine should receive traffic, with a

@@ -37,7 +37,10 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 func TestEngineAdmissionShedsUnmeetableDeadline(t *testing.T) {
 	release := make(chan struct{})
-	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8, OverloadHold: 50 * time.Millisecond}, release, nil)
+	clk := faultinject.NewClock(time.Now())
+	inj := faultinject.New()
+	inj.SetClock(clk)
+	e := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8, Inject: inj}, release, nil)
 	defer close(release)
 
 	// Occupy the worker and put one job in the queue, then pretend
@@ -75,10 +78,10 @@ func TestEngineAdmissionShedsUnmeetableDeadline(t *testing.T) {
 	if ready, reason := e.Ready(); ready || reason != "overloaded" {
 		t.Errorf("Ready() = %v %q during overload", ready, reason)
 	}
-	waitUntil(t, 2*time.Second, "overload hold to lapse", func() bool {
-		state, _ := e.Health()
-		return state == HealthHealthy
-	})
+	clk.Advance(overloadHold + time.Millisecond)
+	if state, _ := e.Health(); state != HealthHealthy {
+		t.Errorf("health after the overload hold = %s, want healthy", state)
+	}
 
 	// A roomy deadline is admitted even with the EWMA primed.
 	if _, err := e.SubmitOpts(cellReq("mesa"), SubmitOptions{Deadline: e.Now().Add(time.Hour)}); err != nil {
@@ -111,6 +114,34 @@ func TestEngineAdmissionShedsUnmeetableDeadline(t *testing.T) {
 	}
 	if _, err := e2.SubmitOpts(cellReq("mcf"), SubmitOptions{Deadline: e2.Now().Add(90 * time.Second)}); err != nil {
 		t.Errorf("two workers, 90s deadline rejected: %v", err)
+	}
+
+	// A batch's deadline is admitted with its capacity, before any cell
+	// is enqueued: with the worker busy, the last of four cold cells
+	// waits behind three at a minute each, so a 90 s deadline rejects
+	// the whole batch and leaves nothing queued, and a 200 s one admits
+	// it.
+	release3 := make(chan struct{})
+	e3 := stubEngine(t, EngineConfig{Workers: 1, QueueDepth: 8}, release3, nil)
+	defer close(release3)
+	if _, err := e3.Submit(cellReq("eon")); err != nil {
+		t.Fatal(err)
+	}
+	waitForRunning(t, e3)
+	e3.noteLatency(time.Minute)
+	breq := BatchRequest{Experiment: "fig6", Benchmarks: []string{"gzip", "mcf"}, Cycles: 100_000, Warmup: 10_000}
+	if _, err := e3.SubmitBatchOpts(breq, SubmitOptions{Deadline: e3.Now().Add(90 * time.Second)}); !errors.Is(err, ErrDeadlineUnmeetable) {
+		t.Fatalf("batch, 90s deadline: err = %v, want ErrDeadlineUnmeetable", err)
+	}
+	if q := e3.Metrics().JobsQueued; q != 0 {
+		t.Errorf("rejected batch left %d cells queued, want 0", q)
+	}
+	b, err := e3.SubmitBatchOpts(breq, SubmitOptions{Deadline: e3.Now().Add(200 * time.Second)})
+	if err != nil {
+		t.Fatalf("batch, 200s deadline rejected: %v", err)
+	}
+	if n, q := len(b.cells), e3.Metrics().JobsQueued; n != 4 || q != 4 {
+		t.Errorf("admitted batch has %d cells and %d queued, want 4 and 4", n, q)
 	}
 }
 

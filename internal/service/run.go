@@ -3,8 +3,8 @@
 // in JobStatus.Error) while the workers keep serving; a key that keeps
 // panicking is quarantined — failed permanently, never retried — after
 // QuarantineAfter attempts; transient failures (job timeout, injected
-// I/O errors) retry with exponential backoff and per-worker-rng jitter
-// up to MaxRetries; and with a journal attached, submit/done/failed
+// I/O errors) retry with exponential backoff and jitter up to
+// MaxRetries; and with a journal attached, submit/done/failed
 // transitions are WAL-logged so queued and interrupted jobs survive a
 // crash and are replayed on the next start (see DESIGN.md, "Failure
 // model and recovery").
@@ -33,27 +33,23 @@ import (
 
 // runJob runs a dispatched job to a terminal state. Panics and transient
 // failures retry; any other error, every stop cause included, fails it.
-func (e *Engine) runJob(id int, j *Job) {
+func (e *Engine) runJob(j *Job) {
 	e.mu.Lock()
 	j.state = JobRunning
+	e.running++
 	runCtx := j.runCtx // only a queued job is ever revived with a new one
 	e.mu.Unlock()
-	e.running.Add(1)
-	defer e.running.Add(-1)
 
-	w := e.workers[id]
 	for attempt := 0; ; attempt++ {
 		// Asked again after every backoff, which wakes early on a stop.
 		if err := e.stopReason(j); err != nil {
-			e.finish(id, j, nil, err)
+			e.finish(j, nil, err)
 			return
 		}
-		if attempt > 0 {
-			w.statsMu.Lock()
-			w.stats.retries++
-			w.statsMu.Unlock()
-		}
 		e.mu.Lock()
+		if attempt > 0 {
+			e.stats.retries++
+		}
 		j.attempts = attempt + 1
 		e.mu.Unlock()
 		astart := e.now()
@@ -63,36 +59,34 @@ func (e *Engine) runJob(id int, j *Job) {
 		switch {
 		case err == nil:
 			e.cfg.Cache.Put(j.Key, data)
-			e.finish(id, j, data, nil)
+			e.finish(j, data, nil)
 			return
 		case errors.As(err, &pe):
 			// A panic fails only this job; the worker survives. The
 			// per-key counter quarantines deterministic crashers instead
 			// of retrying them forever.
-			w.statsMu.Lock()
-			w.stats.panics++
-			w.statsMu.Unlock()
 			e.mu.Lock()
+			e.stats.panics++
 			j.panics++
 			e.panicCounts[j.Key]++
 			n := e.panicCounts[j.Key]
 			e.mu.Unlock()
 			if n >= e.cfg.QuarantineAfter {
-				e.quarantine(id, j, err)
+				e.quarantine(j, err)
 				return
 			}
 		case errors.Is(err, errJobTimeout) || errors.Is(err, faultinject.ErrIO):
 			// Transient. Simulator and validation errors are
 			// deterministic, so retrying them would be waste.
 			if attempt >= e.cfg.MaxRetries {
-				e.finish(id, j, nil, fmt.Errorf("after %d attempts: %w", attempt+1, err))
+				e.finish(j, nil, fmt.Errorf("after %d attempts: %w", attempt+1, err))
 				return
 			}
 		default:
-			e.finish(id, j, nil, err)
+			e.finish(j, nil, err)
 			return
 		}
-		e.backoff(id, attempt, runCtx.Done())
+		e.backoff(attempt, runCtx.Done())
 	}
 }
 
@@ -243,97 +237,108 @@ func (p *panicError) Error() string {
 
 // quarantine permanently fails a job whose key keeps panicking and
 // journals the poison marker so it survives restarts.
-func (e *Engine) quarantine(id int, j *Job, cause error) {
+func (e *Engine) quarantine(j *Job, cause error) {
 	e.mu.Lock()
 	j.state = JobQuarantined
 	j.err = fmt.Errorf("quarantined after %d panics: %w", j.panics, cause)
 	msg := j.err.Error()
+	e.stats.quarantined++
+	e.stats.failed++
 	e.mu.Unlock()
-	w := e.workers[id]
-	w.statsMu.Lock()
-	w.stats.quarantined++
-	w.stats.failed++
-	w.statsMu.Unlock()
 	rec := journal.Record{Op: journal.OpQuarantined, Key: j.Key, Err: msg}
 	if c, err := j.Req.Canonical(); err == nil {
 		rec.Req = c
 	}
 	e.journalAppend(rec)
-	e.settle(j)
+	e.settle(j, true, false)
 }
 
-// settle releases a job's run context and closes its done channel —
-// the single exit point for quarantine and finish.
-func (e *Engine) settle(j *Job) {
+// settle is the single exit point for quarantine and finish, once the
+// terminal record is journaled: it marks a result whose record missed
+// the journal, releases the job's run context, takes a job a worker ran
+// off the running count, and closes the done channel.
+func (e *Engine) settle(j *Job, ran, nonDurable bool) {
 	e.mu.Lock()
+	j.nonDurable = nonDurable
 	j.runCancel(nil)
+	if ran {
+		e.running--
+	}
 	e.mu.Unlock()
 	close(j.done)
 }
 
-// finish settles a job done (err nil) or failed, counting failures by cause.
-func (e *Engine) finish(id int, j *Job, data []byte, err error) {
+// finish settles a job done (err nil) or failed, counting failures by
+// cause. The result's telemetry is decoded before the engine lock is
+// taken; only its folds run under it.
+func (e *Engine) finish(j *Job, data []byte, err error) {
+	var util UtilizationMetrics
+	var mc MulticoreMetrics
+	var mcCoreN []uint64
+	if err == nil {
+		util, mc, mcCoreN = resultTelemetry(j.Req, data)
+	}
 	e.mu.Lock()
+	ran := j.state == JobRunning
 	if err != nil {
 		j.state, j.err = JobFailed, err
-	} else {
-		j.state, j.resultJSON = JobDone, data
-	}
-	e.mu.Unlock()
-	w := e.workers[id]
-	journaled := false
-	if err != nil {
-		w.statsMu.Lock()
-		w.stats.failed++
+		e.stats.failed++
 		switch {
 		case errors.Is(err, ErrDeadlineExpired):
-			w.stats.shedExpired++
+			e.stats.shedExpired++
 		case errors.Is(err, ErrAbandoned):
-			w.stats.abandoned++
+			e.stats.abandoned++
 		case errors.Is(err, ErrStuck):
-			w.stats.watchdog++
-		}
-		w.statsMu.Unlock()
-		// Shutdown-interrupted jobs keep their pending journal record
-		// so the next start replays them; genuine failures are terminal.
-		if !errors.Is(err, ErrShutdown) && !e.closed.Load() {
-			journaled = e.journalAppend(journal.Record{Op: journal.OpFailed, Key: j.Key, Err: err.Error()})
-		} else {
-			journaled = true // intentionally left pending, not a durability gap
+			e.stats.watchdog++
 		}
 	} else {
+		j.state, j.resultJSON = JobDone, data
+		e.stats.completed++
+		addUtilization(&e.stats.util, util)
+		addMulticore(&e.stats.mc, &e.stats.mcCoreN, mc, mcCoreN)
+	}
+	e.mu.Unlock()
+	var journaled bool
+	switch {
+	case err == nil:
 		journaled = e.journalAppend(journal.Record{Op: journal.OpDone, Key: j.Key})
-		w.statsMu.Lock()
-		w.stats.completed++
-		if j.Req.Multicore != nil {
-			var r multicore.Result
-			if json.Unmarshal(data, &r) == nil {
-				run := MulticoreMetrics{Runs: 1, CoolingStalls: r.CoolingStalls, Migrations: uint64(r.Migrations)}
-				ones := make([]uint64, len(r.PerCore))
-				for i, c := range r.PerCore {
-					ones[i] = 1
-					run.CoreUtilization = append(run.CoreUtilization, c.Utilization)
-					run.CoreAvgTempK = append(run.CoreAvgTempK, c.AvgTempK)
-					run.CorePeakTempK = append(run.CorePeakTempK, c.PeakTempK)
-				}
-				addMulticore(&w.stats.mc, &w.stats.mcCoreN, run, ones)
-			}
-		} else {
-			var r sim.Result
-			if json.Unmarshal(data, &r) == nil {
-				u := r.Utilization
-				addUtilization(&w.stats.util, UtilizationMetrics{Cells: 1, IntQHalfOcc: u.IntQHalfOcc,
-					FPQHalfOcc: u.FPQHalfOcc, ALUGrantShare: u.ALUGrantShare, RFReadShare: u.RFReadShare})
-			}
+	case errors.Is(err, ErrShutdown) || e.closed.Load():
+		// Shutdown-interrupted jobs keep their pending journal record
+		// so the next start replays them: not a durability gap.
+		journaled = true
+	default:
+		// Genuine failures are terminal.
+		journaled = e.journalAppend(journal.Record{Op: journal.OpFailed, Key: j.Key, Err: err.Error()})
+	}
+	e.settle(j, ran, e.cfg.Journal != nil && !journaled)
+}
+
+// resultTelemetry decodes one result's contribution to the /metrics
+// folds: a cell's utilization, or a multicore run counted once on each
+// of its cores. An undecodable result contributes nothing.
+func resultTelemetry(req Request, data []byte) (util UtilizationMetrics, mc MulticoreMetrics, mcCoreN []uint64) {
+	if req.Multicore != nil {
+		var r multicore.Result
+		if json.Unmarshal(data, &r) != nil {
+			return util, mc, nil
 		}
-		w.statsMu.Unlock()
+		mc = MulticoreMetrics{Runs: 1, CoolingStalls: r.CoolingStalls, Migrations: uint64(r.Migrations)}
+		mcCoreN = make([]uint64, len(r.PerCore))
+		for i, c := range r.PerCore {
+			mcCoreN[i] = 1
+			mc.CoreUtilization = append(mc.CoreUtilization, c.Utilization)
+			mc.CoreAvgTempK = append(mc.CoreAvgTempK, c.AvgTempK)
+			mc.CorePeakTempK = append(mc.CorePeakTempK, c.PeakTempK)
+		}
+		return util, mc, mcCoreN
 	}
-	if e.cfg.Journal != nil && !journaled {
-		e.mu.Lock()
-		j.nonDurable = true
-		e.mu.Unlock()
+	var r sim.Result
+	if json.Unmarshal(data, &r) == nil {
+		u := r.Utilization
+		util = UtilizationMetrics{Cells: 1, IntQHalfOcc: u.IntQHalfOcc,
+			FPQHalfOcc: u.FPQHalfOcc, ALUGrantShare: u.ALUGrantShare, RFReadShare: u.RFReadShare}
 	}
-	e.settle(j)
+	return util, mc, nil
 }
 
 // runCell executes one simulation cell on config.Default() with the
