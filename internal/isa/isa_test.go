@@ -261,3 +261,47 @@ func TestExecAllMatchesExec(t *testing.T) {
 		t.Fatal("WriteMem/ReadMem roundtrip")
 	}
 }
+
+// TestReserveIsInvisible: Reserve gives the hot and warm regions room
+// without changing what they hold. Writes inside the room extend a region
+// without allocating, and a reserved state reads and diffs exactly like
+// one grown from empty, including past the room and in the stream.
+func TestReserveIsInvisible(t *testing.T) {
+	a, b := NewState(), NewState()
+	b.Reserve(4<<10, 64<<10)
+	if len(b.Hot) != 0 || len(b.Warm) != 0 || cap(b.Hot) < 512 || cap(b.Warm) < 8192 {
+		t.Fatalf("Reserve: hot len %d cap %d, warm len %d cap %d; want empty with room for 512 and 8192 words",
+			len(b.Hot), cap(b.Hot), len(b.Warm), cap(b.Warm))
+	}
+	// Each call writes past both regions' lengths, several words on.
+	k := uint64(0)
+	if n := testing.AllocsPerRun(10, func() {
+		k += 40
+		b.WriteMem(HotBase+k*8, k)
+		b.WriteMem(WarmBase+k*80, k)
+	}); n != 0 {
+		t.Errorf("writes inside the reserved room allocated %.0f times", n)
+	}
+	for i := uint64(40); i <= k; i += 40 {
+		a.WriteMem(HotBase+i*8, i)
+		a.WriteMem(WarmBase+i*80, i)
+	}
+	for _, s := range []*State{a, b} {
+		s.WriteMem(WarmBase+9000*8, 3)
+		s.WriteMem(StreamBase+100*8, 4)
+	}
+	if d := a.Diff(b); d != "" {
+		t.Fatalf("reserved state differs from one grown from empty: %s", d)
+	}
+	if got := b.ReadMem(HotBase + 41*8); got != 0 {
+		t.Errorf("gap word read %#x, want 0", got)
+	}
+	if got := b.ReadMem(WarmBase + 9000*8); got != 3 {
+		t.Errorf("warm word past the room read %#x, want 3", got)
+	}
+	c := NewState()
+	c.Reserve(-8, 0)
+	if cap(c.Hot) != 0 || cap(c.Warm) != 0 {
+		t.Errorf("Reserve(-8, 0) made room: hot cap %d, warm cap %d", cap(c.Hot), cap(c.Warm))
+	}
+}

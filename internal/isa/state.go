@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // StreamBase is the start of the streaming address region: the trace
 // generator's "cold" accesses walk word by word upward from here, so the
@@ -29,13 +32,16 @@ const (
 // committed memory image that the pipeline's load/store queue reads through.
 //
 // Memory is split by region: aligned addresses in the hot, warm and
-// streaming regions live in dense slices indexed by word offset (grown on
-// first write, zero-filled like real memory); the sparse map holds
-// everything else. The streaming region grows one word per access
-// forever, and a map would pay an overflow-bucket allocation for it every
-// few thousand stores — the slices keep the simulator's commit path
-// allocation-free (amortized) in steady state and replace per-access map
-// hashing with an index.
+// streaming regions live in dense slices indexed by word offset
+// (zero-filled like real memory); the sparse map holds everything else.
+// A write past a region's length extends it in one step. Reserve sizes
+// the hot and warm regions for a workload's working sets up front, so
+// only the streaming region, whose extent depends on run length, grows
+// as it runs, geometrically as append grows a slice. A map would pay an
+// overflow-bucket allocation for the stream every few thousand stores —
+// the slices keep the simulator's commit path allocation-free
+// (amortized) in steady state and replace per-access map hashing with
+// an index.
 type State struct {
 	IntReg [NumIntRegs]uint64
 	FPReg  [NumFPRegs]uint64
@@ -96,13 +102,28 @@ func (s *State) ReadMem(addr uint64) uint64 {
 // WriteMem stores v at addr.
 func (s *State) WriteMem(addr uint64, v uint64) {
 	if r, idx, ok := s.region(addr); ok {
-		for uint64(len(*r)) <= idx {
-			*r = append(*r, 0)
+		if n := uint64(len(*r)); idx >= n {
+			*r = append(*r, make([]uint64, idx+1-n)...)
 		}
 		(*r)[idx] = v
 		return
 	}
 	s.Mem[addr] = v
+}
+
+// Reserve gives the hot and warm regions room for working sets of
+// hotBytes and warmBytes, never beyond the dense cap, so that writes
+// inside them extend the regions in place. Lengths do not change, so no
+// read, copy or Diff can tell.
+func (s *State) Reserve(hotBytes, warmBytes int) {
+	s.Hot = reserve(s.Hot, hotBytes)
+	s.Warm = reserve(s.Warm, warmBytes)
+}
+
+// reserve grows r's capacity to bytes/8 words, capped at denseCapWords.
+func reserve(r []uint64, bytes int) []uint64 {
+	words := min(bytes/8, int(denseCapWords))
+	return slices.Grow(r, max(words-len(r), 0))
 }
 
 // Exec executes one instruction architecturally, in program order. Branches

@@ -10,9 +10,10 @@ import (
 // TestCycleDoesNotAllocate proves the hot loop is allocation-free in
 // steady state: every per-event energy deposit is a stats-bus counter
 // increment, and the scratch structures (grant buffer, completion ring
-// buckets, committed-memory image, store sets) have all reached their
-// working-set capacity after a long drive. Only the drive length makes
-// this hold — a cold pipeline still grows those buffers.
+// buckets, the committed-memory image's stream region, store sets) have
+// all reached their working-set capacity after a long drive. Only the
+// drive length makes this hold — a cold pipeline still grows those
+// buffers. The image's hot and warm regions are sized in New.
 func TestCycleDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long steady-state drive")

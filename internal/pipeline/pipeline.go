@@ -199,6 +199,11 @@ func New(cfg *config.Config, plan *floorplan.Plan, meter *power.Meter, gen *trac
 	}
 	p.rob.init(cfg.ActiveList, cfg.LSQEntries)
 	p.lsqMaskOK = cfg.LSQEntries <= 64
+	// The generator draws hot and warm addresses only inside the
+	// profile's working sets, so sizing those regions once here leaves
+	// only the stream to grow as the run goes.
+	prof := gen.Profile()
+	p.committedMem.Reserve(prof.HotSetBytes, prof.WarmSetBytes)
 
 	p.scanWakeup = defaultScanWakeup
 	p.waitHeadInt = make([]int32, cfg.PhysIntRegs)
