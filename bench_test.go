@@ -360,8 +360,8 @@ func BenchmarkSimInterval(b *testing.B) {
 	interval := cfg.SensorIntervalCycles
 	dt := float64(interval) * cfg.ThermalSecondsPerCycle()
 	pow := make([]float64, s.Plan.NumBlocks())
-	// Drive past the working-set growth phase (completion rings, the
-	// committed-memory image) so the measured region is steady state.
+	// Drive past the growth phase (completion rings, the committed-memory
+	// image's stream region) so the measured region is steady state.
 	for c := 0; c < 600_000; c++ {
 		s.Pipe.Cycle()
 	}
@@ -373,6 +373,45 @@ func BenchmarkSimInterval(b *testing.B) {
 			s.Pipe.Cycle()
 		}
 		s.Th.Advance(s.Meter.Drain(interval, 0, pow), dt)
+	}
+}
+
+// BenchmarkSimShortCell measures one service-miss-shaped cell, the unit
+// of pipethermd's write path: sim.New plus RunCycles on a fresh machine,
+// 40k–80k cycles after a 1k–20k-instruction warmup. Op i runs profile
+// i mod 22 on paper shape i mod 13 (the floorplan and techniques of every
+// fig6, fig7, fig8 and temporal variant), so -benchtime 286x visits each
+// pair once and two checkouts run the same cells at the same -benchtime
+// Nx. Building the machine allocates by design, so the op is not
+// allocation-free.
+func BenchmarkSimShortCell(b *testing.B) {
+	type shape struct {
+		plan config.FloorplanVariant
+		tech config.Techniques
+	}
+	var shapes []shape
+	for _, id := range []string{"fig6", "fig7", "fig8", "temporal"} {
+		spec, err := experiments.ByID(id, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range spec.Variants {
+			shapes = append(shapes, shape{spec.Plan, v.Tech})
+		}
+	}
+	benches := experiments.AllBenchmarks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh := shapes[i%len(shapes)]
+		cfg := config.Default()
+		cfg.Plan, cfg.Techniques = sh.plan, sh.tech
+		s, err := sim.NewByName(cfg, benches[i%len(benches)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.WarmupInstructions = 1_000 + i*7_919%19_001
+		s.RunCycles(40_000 + int64(i*15_013%40_001))
 	}
 }
 

@@ -6,7 +6,8 @@
 #   scripts/bench.sh [-count N] [-out FILE] [pattern]
 #
 # Runs the gated microbenchmarks (default: the cycle hot loop —
-# BenchmarkPipelineCycle and BenchmarkSimInterval — plus the thermal
+# BenchmarkPipelineCycle and BenchmarkSimInterval — one service-miss-
+# shaped cell from a fresh machine, BenchmarkSimShortCell, the thermal
 # axis in internal/thermal, BenchmarkThermalAdvance at paper scale and
 # N=30/300/3000 and BenchmarkThermalSteadyState's CG and Gaussian
 # solves at N=30/300/3000, the multi-core lockstep interval,
@@ -28,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 COUNT=5
 OUT=BENCH_pipeline.json
-PATTERN='BenchmarkPipelineCycle|BenchmarkSimInterval|BenchmarkThermalAdvance|BenchmarkThermalSteadyState|BenchmarkMulticoreInterval|BenchmarkEngineThroughput'
+PATTERN='BenchmarkPipelineCycle|BenchmarkSimInterval|BenchmarkSimShortCell|BenchmarkThermalAdvance|BenchmarkThermalSteadyState|BenchmarkMulticoreInterval|BenchmarkEngineThroughput'
 while [[ $# -gt 0 ]]; do
   case "$1" in
     -count) COUNT="$2"; shift 2 ;;
