@@ -28,15 +28,20 @@ type SubmitOptions struct {
 // ErrQueueFull is returned when the queue is at capacity. A previously
 // failed key is re-enqueued (failures are not cached).
 func (e *Engine) Submit(req Request) (*Job, error) {
-	return e.submit(req, SubmitOptions{}, false)
+	return e.submit(req, SubmitOptions{}, false, false)
 }
 
 // SubmitOpts is Submit with overload-protection options.
 func (e *Engine) SubmitOpts(req Request, opt SubmitOptions) (*Job, error) {
-	return e.submit(req, opt, false)
+	return e.submit(req, opt, false, false)
 }
 
-func (e *Engine) submit(req Request, opt SubmitOptions, abandonable bool) (*Job, error) {
+// submit validates and keys req and admits it through submitLocked.
+// With replay true (the journal replay) a full queue is waited out on
+// e.space rather than refused, so no overload is stamped on its account;
+// the default deadline then runs from the end of the wait, and deadline
+// admission still applies.
+func (e *Engine) submit(req Request, opt SubmitOptions, abandonable, replay bool) (*Job, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -45,11 +50,14 @@ func (e *Engine) submit(req Request, opt SubmitOptions, abandonable bool) (*Job,
 	if err != nil {
 		return nil, err
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for replay && e.queuedLocked() >= e.cfg.QueueDepth && !e.closed.Load() {
+		e.space.Wait()
+	}
 	if opt.Deadline.IsZero() && e.cfg.DefaultDeadline > 0 {
 		opt.Deadline = e.now().Add(e.cfg.DefaultDeadline)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.submitLocked(key, req, opt, false, abandonable)
 }
 
@@ -61,7 +69,7 @@ func (e *Engine) submit(req Request, opt SubmitOptions, abandonable bool) (*Job,
 // cancelled with ErrAbandoned so the worker stops computing a result
 // nobody will read.
 func (e *Engine) SubmitWait(ctx context.Context, req Request, opt SubmitOptions) (JobStatus, error) {
-	j, err := e.submit(req, opt, true)
+	j, err := e.submit(req, opt, true, false)
 	if err != nil {
 		return JobStatus{}, err
 	}

@@ -46,9 +46,10 @@ func (e *Engine) recoverJournal(recs []journal.Record) {
 	}
 }
 
-// replayPending resubmits journaled pending jobs. A full queue blocks
-// on e.space, which every pop signals, rather than polling, so
-// recovered work admits the moment a slot opens and /readyz flips as
+// replayPending resubmits journaled pending jobs. A full queue does
+// not refuse a replayed job: its submit waits on e.space, which every
+// pop signals, so recovered work admits the moment a slot opens, no
+// overload is stamped for a refusal no client saw, and /readyz flips as
 // soon as the last replay lands. Shutdown wakes it to stop.
 func (e *Engine) replayPending(pending []journal.Record) {
 	defer e.replayed.Store(true)
@@ -57,25 +58,14 @@ func (e *Engine) replayPending(pending []journal.Record) {
 		if err := json.Unmarshal(rec.Req, &req); err != nil {
 			continue // unreadable request: nothing to replay
 		}
-		for {
-			j, err := e.Submit(req)
-			if err == nil {
-				// Replay-from-cache: the run completed before the crash
-				// but its done record was lost; settle the journal now.
-				st := e.snapshot(j)
-				if st.State == JobDone && st.Cached {
-					e.journalAppend(journal.Record{Op: journal.OpDone, Key: j.Key})
-				}
-				break
-			}
-			if !errors.Is(err, ErrQueueFull) {
-				break // invalid under current config, or engine shut down
-			}
-			e.mu.Lock()
-			for e.queuedLocked() >= e.cfg.QueueDepth && !e.closed.Load() {
-				e.space.Wait()
-			}
-			e.mu.Unlock()
+		j, err := e.submit(req, SubmitOptions{}, false, true)
+		if err != nil {
+			continue // invalid under current config, shed for its deadline, or engine shut down
+		}
+		// Replay-from-cache: the run completed before the crash but its
+		// done record was lost; settle the journal now.
+		if st := e.snapshot(j); st.State == JobDone && st.Cached {
+			e.journalAppend(journal.Record{Op: journal.OpDone, Key: j.Key})
 		}
 	}
 }

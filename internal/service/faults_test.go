@@ -421,11 +421,14 @@ func pendingJournal(t *testing.T, dir string, n int) []string {
 // the queue holds — six pending submits, one worker, QueueDepth 1 — so
 // the replay must wait for queue space. While it waits, readiness says
 // "journal replay"; every job then settles done exactly once, and
-// readiness returns once the overload hold stamped by the replay's own
-// queue-full retries has lapsed. Shutdown while the replay waits
-// returns promptly and leaves all six jobs pending in the journal.
+// readiness returns as soon as the replay has finished: waiting for
+// space refuses no client, so it stamps no overload hold. Shutdown
+// while the replay waits returns promptly and leaves all six jobs
+// pending in the journal.
 func TestEngineJournalReplayIntoFullQueue(t *testing.T) {
 	const n = 6
+	// The engine's clock never advances, so an overload stamped during
+	// the replay would still hold when readiness is checked.
 	clk := faultinject.NewClock(time.Now())
 	start := func(t *testing.T, run func(ctx context.Context, req Request) ([]byte, error)) (*Engine, string, []string) {
 		dir := t.TempDir()
@@ -468,12 +471,8 @@ func TestEngineJournalReplayIntoFullQueue(t *testing.T) {
 			waitJobDone(t, e, k)
 		}
 		waitUntil(t, 5*time.Second, "the replay to finish", e.replayed.Load)
-		if ready, reason := e.Ready(); ready || reason != "overloaded" {
-			t.Errorf("Ready() = %v %q inside the overload hold, want false %q", ready, reason, "overloaded")
-		}
-		clk.Advance(overloadHold + time.Millisecond)
 		if ready, reason := e.Ready(); !ready {
-			t.Errorf("Ready() = false %q after the replay and the overload hold", reason)
+			t.Errorf("Ready() = false %q once the replay has finished", reason)
 		}
 		mu.Lock()
 		defer mu.Unlock()
