@@ -62,8 +62,32 @@ func median(ss []sample) float64 {
 	}
 }
 
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// A result line is name, iterations and ns/op, then any b.ReportMetric
+// values (BenchmarkEngineThroughput's jobs/s), then -benchmem's B/op and
+// allocs/op; so the memory columns are matched wherever they sit.
+var (
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op`)
+	bytesPerOp  = regexp.MustCompile(`\s(\d+) B/op`)
+	allocsPerOp = regexp.MustCompile(`\s(\d+) allocs/op`)
+)
+
+// parseSample parses one `go test -bench` result line.
+func parseSample(line string) (sample, bool) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return sample{}, false
+	}
+	s := sample{Name: m[1]}
+	s.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
+	s.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
+	if b := bytesPerOp.FindStringSubmatch(line); b != nil {
+		s.BytesPerOp, _ = strconv.ParseInt(b[1], 10, 64)
+	}
+	if a := allocsPerOp.FindStringSubmatch(line); a != nil {
+		s.AllocsPerOp, _ = strconv.ParseInt(a[1], 10, 64)
+	}
+	return s, true
+}
 
 func main() {
 	prev := flag.String("prev", "", "previous BENCH json; its baseline section is carried over and the summary recomputed")
@@ -90,20 +114,9 @@ func main() {
 			rec.CPU = strings.TrimSpace(cpu)
 			continue
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
+		if s, ok := parseSample(line); ok {
+			rec.Samples[s.Name] = append(rec.Samples[s.Name], s)
 		}
-		s := sample{Name: m[1]}
-		s.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		s.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			s.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			s.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		}
-		rec.Samples[s.Name] = append(rec.Samples[s.Name], s)
 	}
 	if *prev != "" {
 		prevRaw, err := os.ReadFile(*prev)
