@@ -102,8 +102,13 @@ func (s *State) ReadMem(addr uint64) uint64 {
 // WriteMem stores v at addr.
 func (s *State) WriteMem(addr uint64, v uint64) {
 	if r, idx, ok := s.region(addr); ok {
-		if n := uint64(len(*r)); idx >= n {
+		if n := uint64(len(*r)); idx >= uint64(cap(*r)) {
 			*r = append(*r, make([]uint64, idx+1-n)...)
+		} else if idx >= n {
+			// Inside the reserved room: extend in place, without the
+			// temporary that append(make) costs under -race.
+			*r = (*r)[:idx+1]
+			clear((*r)[n:idx])
 		}
 		(*r)[idx] = v
 		return
