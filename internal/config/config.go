@@ -238,7 +238,7 @@ type Config struct {
 	FetchWidth  int // fetch/dispatch width per cycle
 	CommitWidth int // commit width per cycle
 	ActiveList  int // reorder-buffer entries (128)
-	LSQEntries  int // load/store queue entries (64)
+	LSQEntries  int // load/store queue entries (64, the most allowed)
 	IQEntries   int // entries in EACH of the int and FP issue queues (32)
 	IntALUs     int // integer execution units (6), incl. ld/st and branch
 	FPAdders    int // floating-point adders (4)
@@ -392,20 +392,37 @@ func (c *Config) CoolingCycles() int {
 }
 
 // Validate reports the first configuration inconsistency found, or nil.
+// The machine-shape checks are the preconditions of the constructors the
+// simulator calls, and of forward progress.
 func (c *Config) Validate() error {
 	switch {
-	case c.IssueWidth <= 0:
-		return fmt.Errorf("config: issue width %d", c.IssueWidth)
-	case c.IQEntries <= 0 || c.IQEntries%2 != 0:
-		return fmt.Errorf("config: issue queue entries %d must be positive and even (two halves)", c.IQEntries)
+	case c.IssueWidth <= 0 || c.FetchWidth <= 0 || c.CommitWidth <= 0:
+		return fmt.Errorf("config: issue/fetch/commit width %d/%d/%d must each be at least 1",
+			c.IssueWidth, c.FetchWidth, c.CommitWidth)
+	case c.IQEntries <= 0 || c.IQEntries%8 != 0 || c.IQEntries > 64:
+		// The select trees split each half into 4-input groups, and the
+		// queue keeps its state in 64-bit masks.
+		return fmt.Errorf("config: issue queue entries %d must be a positive multiple of 8, at most 64", c.IQEntries)
+	case c.IssueDrainCycles < 0:
+		return fmt.Errorf("config: issue drain cycles %d", c.IssueDrainCycles)
 	case c.IntALUs <= 0:
 		return fmt.Errorf("config: %d integer ALUs", c.IntALUs)
+	case c.FPAdders <= 0 || c.FPMuls <= 0:
+		return fmt.Errorf("config: %d FP adders / %d FP multipliers", c.FPAdders, c.FPMuls)
 	case c.IntRFCopies <= 0 || c.IntALUs%c.IntRFCopies != 0:
 		return fmt.Errorf("config: %d ALUs not divisible across %d register-file copies", c.IntALUs, c.IntRFCopies)
 	case c.ActiveList <= 0 || c.LSQEntries <= 0:
 		return fmt.Errorf("config: active list %d / LSQ %d", c.ActiveList, c.LSQEntries)
-	case c.PhysIntRegs < 2*c.ActiveList/2+32:
+	case c.LSQEntries > 64:
+		return fmt.Errorf("config: LSQ %d entries exceeds the 64-slot store mask", c.LSQEntries)
+	case c.PhysIntRegs < c.ActiveList+32:
 		return fmt.Errorf("config: %d physical int registers too few for %d in flight", c.PhysIntRegs, c.ActiveList)
+	case c.PhysFPRegs < c.ActiveList+32:
+		return fmt.Errorf("config: %d physical FP registers too few for %d in flight", c.PhysFPRegs, c.ActiveList)
+	case !pow2(c.L1LineB) || !pow2(cacheSets(c.L1SizeKB, c.L1Assoc, c.L1LineB)) ||
+		!pow2(cacheSets(c.L2SizeKB, c.L2Assoc, c.L1LineB)):
+		return fmt.Errorf("config: L1 %d KB %d-way / L2 %d KB %d-way at %d B lines: line size and set counts must be powers of two",
+			c.L1SizeKB, c.L1Assoc, c.L2SizeKB, c.L2Assoc, c.L1LineB)
 	case c.MaxTempK <= c.AmbientK:
 		return fmt.Errorf("config: max temp %.1fK not above ambient %.1fK", c.MaxTempK, c.AmbientK)
 	case c.ThermalAccel <= 0:
@@ -418,6 +435,18 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: DVFS divider %d / voltage scale %v", c.DVFSDivider, c.DVFSVoltageScale)
 	}
 	return nil
+}
+
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// cacheSets is the set count of a cache of the given geometry, 0 when
+// any dimension is not positive.
+func cacheSets(sizeKB, assoc, lineB int) int {
+	if sizeKB <= 0 || assoc <= 0 || lineB <= 0 {
+		return 0
+	}
+	return sizeKB * 1024 / lineB / assoc
 }
 
 // Clone returns a deep copy of the configuration.

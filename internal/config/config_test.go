@@ -73,6 +73,18 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"bad accel", func(c *Config) { c.ThermalAccel = 0 }},
 		{"bad sensor", func(c *Config) { c.SensorIntervalCycles = 0 }},
 		{"no L1 ports", func(c *Config) { c.L1Ports = 0 }},
+		{"no fetch", func(c *Config) { c.FetchWidth = 0 }},
+		{"no commit", func(c *Config) { c.CommitWidth = 0 }},
+		{"IQ not 4-input groups", func(c *Config) { c.IQEntries = 12 }},
+		{"IQ over masks", func(c *Config) { c.IQEntries = 66 }},
+		{"IQ over masks, 8-aligned", func(c *Config) { c.IQEntries = 72 }},
+		{"negative drain", func(c *Config) { c.IssueDrainCycles = -1 }},
+		{"no FP adders", func(c *Config) { c.FPAdders = 0 }},
+		{"no FP multipliers", func(c *Config) { c.FPMuls = 0 }},
+		{"LSQ over store mask", func(c *Config) { c.LSQEntries = 96 }},
+		{"few FP phys regs", func(c *Config) { c.PhysFPRegs = 16 }},
+		{"L1 sets not power of two", func(c *Config) { c.L1LineB = 48 }},
+		{"L2 sets not power of two", func(c *Config) { c.L2SizeKB = 3072 }},
 	}
 	for _, m := range mods {
 		c := Default()

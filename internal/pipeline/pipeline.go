@@ -59,12 +59,9 @@ type storeRef struct {
 }
 
 type lsqEntry struct {
-	rob      int32
-	seq      uint64
-	isStore  bool
-	addr     uint64
-	data     uint64
-	resolved bool // store has executed (address and data known)
+	seq  uint64
+	addr uint64
+	data uint64 // a store's data, once it has executed
 }
 
 // completionRing sizes the completion scheduler; it must exceed the
@@ -139,23 +136,20 @@ type Pipeline struct {
 	grantBuf   []seltree.Grant
 	unresolved []storeRef
 
-	// Event-driven wakeup state (the default; scanWakeup selects the
-	// reference per-cycle scan instead). waitHeadInt/waitHeadFP hold, per
+	// Event-driven wakeup state. waitHeadInt/waitHeadFP hold, per
 	// physical register, the head token of the intrusive list of entries
 	// waiting on it; storeWaitHead holds, per active-list slot of an
 	// unresolved store, the head of the list of loads blocked on it.
 	// wakeBuf collects the IDs that became ready since the last
 	// wakeupStage; it is bounded by the active-list size.
-	scanWakeup    bool
 	waitHeadInt   []int32
 	waitHeadFP    []int32
 	storeWaitHead []int32
 	wakeBuf       []int32
 
 	// storeMask tracks which LSQ ring slots hold stores, for the
-	// store-forwarding scan (usable while the LSQ fits a 64-bit mask).
+	// store-forwarding scan (config.Validate caps the LSQ at 64 entries).
 	storeMask uint64
-	lsqMaskOK bool
 
 	// Statistics.
 	Fetched     uint64
@@ -198,14 +192,12 @@ func New(cfg *config.Config, plan *floorplan.Plan, meter *power.Meter, gen *trac
 		portFree:     make([]int64, cfg.L1Ports),
 	}
 	p.rob.init(cfg.ActiveList, cfg.LSQEntries)
-	p.lsqMaskOK = cfg.LSQEntries <= 64
 	// The generator draws hot and warm addresses only inside the
 	// profile's working sets, so sizing those regions once here leaves
 	// only the stream to grow as the run goes.
 	prof := gen.Profile()
 	p.committedMem.Reserve(prof.HotSetBytes, prof.WarmSetBytes)
 
-	p.scanWakeup = defaultScanWakeup
 	p.waitHeadInt = make([]int32, cfg.PhysIntRegs)
 	p.waitHeadFP = make([]int32, cfg.PhysFPRegs)
 	p.storeWaitHead = make([]int32, cfg.ActiveList)
@@ -390,8 +382,8 @@ func (p *Pipeline) Cycle() {
 // sets are bit masks, waiter lists of distinct registers are disjoint, and
 // a load parked on one of several same-address blockers re-checks the
 // whole unresolved set when woken — so every interleaving converges to the
-// same post-stage state (locked by the scan-vs-event lockstep suite and
-// the fig6 golden).
+// same post-stage state (checked every cycle against the scan predicate in
+// wakeup_oracle_test.go, and by the fig6 golden).
 func (p *Pipeline) completeStage() {
 	slot := uint64(p.cycle) & (completionRing - 1)
 	id := p.completionHead[slot]
@@ -410,7 +402,7 @@ func (p *Pipeline) completeStage() {
 				p.readyFP[h.destPhys] = true
 				fpTags++
 				p.ebus.Inc(p.sFPRegWrite)
-				if t := p.waitHeadFP[h.destPhys]; t >= 0 && !p.scanWakeup {
+				if t := p.waitHeadFP[h.destPhys]; t >= 0 {
 					p.waitHeadFP[h.destPhys] = -1
 					p.wakeRegWaiters(t)
 				}
@@ -419,19 +411,16 @@ func (p *Pipeline) completeStage() {
 				p.readyInt[h.destPhys] = true
 				intTags++
 				p.rf.ChargeWrite()
-				if t := p.waitHeadInt[h.destPhys]; t >= 0 && !p.scanWakeup {
+				if t := p.waitHeadInt[h.destPhys]; t >= 0 {
 					p.waitHeadInt[h.destPhys] = -1
 					p.wakeRegWaiters(t)
 				}
 			}
 		}
 		if h.op == isa.OpStore && c.lsqIdx >= 0 {
-			p.rob.lsq[c.lsqIdx].resolved = true
 			p.rob.lsq[c.lsqIdx].data = c.value
 			p.removeUnresolved(c.seq)
-			if !p.scanWakeup {
-				p.wakeStoreWaiters(id)
-			}
+			p.wakeStoreWaiters(id)
 		}
 		if c.mispredct {
 			p.fetchResume = p.cycle + int64(p.cfg.BranchPenalty)
@@ -493,19 +482,14 @@ func (p *Pipeline) commitStage() {
 // wakeupStage marks queue entries whose operands (and memory ordering
 // constraints) are satisfied as ready to request selection.
 //
-// In the default event-driven mode the ready set was computed
-// incrementally — producers marked exactly their consumers ready at
-// writeback (wakeRegWaiters/wakeStoreWaiters via wakeNow) — so this stage
-// only flushes the born-ready instructions dispatch buffered last cycle.
-// The timing is identical to the scan: both observe the register/store
-// state as of this cycle's completeStage, and MarkReady order within a
-// cycle cannot matter because the ready set is a bit mask.
+// The ready set is computed incrementally — producers mark exactly their
+// consumers ready at writeback (wakeRegWaiters/wakeStoreWaiters via
+// wakeNow) — so this stage only flushes the born-ready instructions
+// dispatch buffered last cycle. The result is the set a per-cycle scan of
+// every waiting entry would mark: both observe the register/store state
+// as of this cycle's completeStage, and MarkReady order within a cycle
+// cannot matter because the ready set is a bit mask.
 func (p *Pipeline) wakeupStage() {
-	if p.scanWakeup {
-		p.wakeQueue(p.intQ)
-		p.wakeQueue(p.fpQ)
-		return
-	}
 	for _, id := range p.wakeBuf {
 		if p.rob.hot[id].fp {
 			p.fpQ.MarkReady(id)
@@ -515,20 +499,6 @@ func (p *Pipeline) wakeupStage() {
 	}
 	p.wakeBuf = p.wakeBuf[:0]
 }
-
-// SetScanWakeup switches the pipeline to the reference scan-based wakeup
-// (true) or the event-driven wakeup (false). Only valid before the first
-// cycle; the two paths produce bit-identical schedules (see
-// wakeup_diff_test.go) but maintain different bookkeeping.
-func (p *Pipeline) SetScanWakeup(on bool) {
-	if p.cycle != 0 || p.Fetched != 0 {
-		panic("pipeline: SetScanWakeup after execution started")
-	}
-	p.scanWakeup = on
-}
-
-// ScanWakeup reports which wakeup implementation is active.
-func (p *Pipeline) ScanWakeup() bool { return p.scanWakeup }
 
 // wakeRegWaiters drains the waiter list of a physical register that just
 // wrote back, starting from token t (the caller detaches the list head):
@@ -565,8 +535,8 @@ func (p *Pipeline) wakeStoreWaiters(store int32) {
 // remains; everything else joins the next wakeupStage's ready flush.
 //
 // Only dispatch calls maybeWake: a born-ready instruction dispatched this
-// cycle becomes visible to selection at the NEXT cycle's wakeupStage in
-// both wakeup modes, so its readiness must stay buffered.
+// cycle becomes visible to selection at the NEXT cycle's wakeupStage, so
+// its readiness must stay buffered.
 func (p *Pipeline) maybeWake(id int32, h *robHot) {
 	if h.op == isa.OpLoad || h.op == isa.OpLoadFP {
 		c := p.rob.coldAt(id)
@@ -583,8 +553,8 @@ func (p *Pipeline) maybeWake(id int32, h *robHot) {
 // lands in the queue immediately instead of round-tripping through wakeBuf.
 // Nothing between completeStage and wakeupStage reads the ready masks
 // (commitStage only removes already-issued, draining entries), so the
-// end-of-cycle state — what the scan-mode lockstep suite compares — is
-// bit-identical to buffering; only the append/flush is skipped.
+// end-of-cycle state is bit-identical to buffering; only the append/flush
+// is skipped.
 func (p *Pipeline) wakeNow(id int32, h *robHot) {
 	if h.op == isa.OpLoad || h.op == isa.OpLoadFP {
 		c := p.rob.coldAt(id)
@@ -602,7 +572,11 @@ func (p *Pipeline) wakeNow(id int32, h *robHot) {
 }
 
 // findBlocker returns the active-list slot of an unresolved same-address
-// store older than seq blocking a load, or -1.
+// store older than seq blocking a load, or -1. The unresolved set is
+// maintained incrementally: stores enter it at dispatch (their addresses
+// are trace-resolved, so disambiguation is address-precise — the
+// perfect-disambiguation assumption common to SimpleScalar-era studies)
+// and leave when their data resolves.
 func (p *Pipeline) findBlocker(seq, addr uint64) int32 {
 	for i := range p.unresolved {
 		s := &p.unresolved[i]
@@ -611,42 +585,6 @@ func (p *Pipeline) findBlocker(seq, addr uint64) int32 {
 		}
 	}
 	return -1
-}
-
-// wakeQueue walks q's waiting entries by bit mask. The mask is snapshotted
-// before the walk; MarkReady only clears bits the walk has already
-// consumed, so the iteration is equivalent to the buffered snapshot it
-// replaced (wakeup readiness never depends on other wakeups this cycle).
-func (p *Pipeline) wakeQueue(q *issueq.Queue) {
-	for m := q.WaitMask(); m != 0; m &= m - 1 {
-		id := q.IDAt(bits.TrailingZeros64(m))
-		h := p.rob.hotAt(id)
-		if !p.srcReady(h, p.rob.coldAt(id)) {
-			continue
-		}
-		if h.op == isa.OpLoad || h.op == isa.OpLoadFP {
-			c := p.rob.coldAt(id)
-			if p.loadBlocked(c.seq, c.addr) {
-				continue
-			}
-		}
-		q.MarkReady(id)
-	}
-}
-
-// loadBlocked reports whether an older unresolved same-address store
-// prevents this load from issuing. The unresolved set is maintained
-// incrementally: stores enter it at dispatch (their addresses are
-// trace-resolved, so disambiguation is address-precise — the
-// perfect-disambiguation assumption common to SimpleScalar-era studies)
-// and leave when their data resolves.
-func (p *Pipeline) loadBlocked(seq, addr uint64) bool {
-	for _, s := range p.unresolved {
-		if s.seq < seq && s.addr == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // removeUnresolved drops the store with the given sequence number from the
@@ -660,15 +598,6 @@ func (p *Pipeline) removeUnresolved(seq uint64) {
 			return
 		}
 	}
-}
-
-func (p *Pipeline) srcReady(h *robHot, c *robCold) bool {
-	if h.fp {
-		return (c.src1Phys < 0 || p.readyFP[c.src1Phys]) &&
-			(c.src2Phys < 0 || p.readyFP[c.src2Phys])
-	}
-	return (c.src1Phys < 0 || p.readyInt[c.src1Phys]) &&
-		(c.src2Phys < 0 || p.readyInt[c.src2Phys])
 }
 
 // issueStage runs the select trees over the ready bit vectors and launches
@@ -793,27 +722,13 @@ func (p *Pipeline) loadValue(seq, addr uint64) uint64 {
 		found   bool
 		val     uint64
 	)
-	if p.lsqMaskOK {
-		// Visit only the slots holding stores; picking the max sequence
-		// number is order-independent, so mask order equals ring order.
-		for m := p.storeMask; m != 0; m &= m - 1 {
-			le := &p.rob.lsq[bits.TrailingZeros64(m)]
-			if le.seq < seq && le.addr == addr &&
-				(!found || le.seq > bestSeq) {
-				bestSeq, val, found = le.seq, le.data, true
-			}
-		}
-	} else {
-		idx := p.rob.lsqHead
-		for n := 0; n < p.rob.lsqCount; n++ {
-			le := &p.rob.lsq[idx]
-			if le.isStore && le.seq < seq && le.addr == addr &&
-				(!found || le.seq > bestSeq) {
-				bestSeq, val, found = le.seq, le.data, true
-			}
-			if idx++; idx == len(p.rob.lsq) {
-				idx = 0
-			}
+	// Visit only the slots holding stores; picking the max sequence
+	// number is order-independent, so mask order equals ring order.
+	for m := p.storeMask; m != 0; m &= m - 1 {
+		le := &p.rob.lsq[bits.TrailingZeros64(m)]
+		if le.seq < seq && le.addr == addr &&
+			(!found || le.seq > bestSeq) {
+			bestSeq, val, found = le.seq, le.data, true
 		}
 	}
 	if found {
@@ -966,7 +881,6 @@ func (p *Pipeline) dispatch(in *isa.Inst, fp bool) {
 	h.fp = fp
 	h.destFP = false
 	h.unit = 0
-	h.waitCnt = 0
 	h.destPhys = -1
 	c.seq, c.addr = in.Seq, in.Addr
 	c.value = 0
@@ -1015,7 +929,7 @@ func (p *Pipeline) dispatch(in *isa.Inst, fp bool) {
 
 	if in.Op.IsMem() {
 		l := int32(p.rob.lsqTail)
-		p.rob.lsq[l] = lsqEntry{rob: idx, seq: in.Seq, isStore: in.Op == isa.OpStore, addr: in.Addr}
+		p.rob.lsq[l] = lsqEntry{seq: in.Seq, addr: in.Addr}
 		if in.Op == isa.OpStore {
 			p.unresolved = append(p.unresolved, storeRef{seq: in.Seq, addr: in.Addr, rob: idx})
 			p.storeMask |= 1 << uint(l)
@@ -1036,30 +950,27 @@ func (p *Pipeline) dispatch(in *isa.Inst, fp bool) {
 
 	// Event-driven wakeup: register on each unready source register's
 	// waiter list; born-ready instructions head straight for the next
-	// wakeupStage (possibly via a blocking store's list). The scan path
-	// discovers the same readiness by polling srcReady/loadBlocked.
-	if !p.scanWakeup {
-		wc := uint8(0)
-		ready := p.readyInt
-		heads := p.waitHeadInt
-		if fp {
-			ready = p.readyFP
-			heads = p.waitHeadFP
-		}
-		if c.src1Phys >= 0 && !ready[c.src1Phys] {
-			p.rob.wnext[idx*2] = heads[c.src1Phys]
-			heads[c.src1Phys] = idx * 2
-			wc++
-		}
-		if c.src2Phys >= 0 && !ready[c.src2Phys] {
-			p.rob.wnext[idx*2+1] = heads[c.src2Phys]
-			heads[c.src2Phys] = idx*2 + 1
-			wc++
-		}
-		h.waitCnt = wc
-		if wc == 0 {
-			p.maybeWake(idx, h)
-		}
+	// wakeupStage (possibly via a blocking store's list).
+	wc := uint8(0)
+	ready := p.readyInt
+	heads := p.waitHeadInt
+	if fp {
+		ready = p.readyFP
+		heads = p.waitHeadFP
+	}
+	if c.src1Phys >= 0 && !ready[c.src1Phys] {
+		p.rob.wnext[idx*2] = heads[c.src1Phys]
+		heads[c.src1Phys] = idx * 2
+		wc++
+	}
+	if c.src2Phys >= 0 && !ready[c.src2Phys] {
+		p.rob.wnext[idx*2+1] = heads[c.src2Phys]
+		heads[c.src2Phys] = idx*2 + 1
+		wc++
+	}
+	h.waitCnt = wc
+	if wc == 0 {
+		p.maybeWake(idx, h)
 	}
 
 	if p.rob.tail++; p.rob.tail == len(p.rob.hot) {

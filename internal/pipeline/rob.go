@@ -14,7 +14,7 @@ import "repro/internal/isa"
 //     one 64-byte line carries 8 entries (the whole 128-entry hot array is
 //     16 lines, vs one line per entry in the old array-of-structs ring).
 //   - the wakeup link words (wnext, sNext): hot-side bookkeeping for the
-//     event-driven scheduler, kept out of robHot because they are only
+//     event-driven wakeup, kept out of robHot because they are only
 //     touched on waiter-list registration and drain, not by every state
 //     transition. wnext is flat and token-indexed (token = slot*2 +
 //     operand), so following a waiter chain is one indexed load with no
@@ -24,10 +24,9 @@ import "repro/internal/isa"
 //     LSQ link, redirect flag) and at commit (LSQ link, previous mapping),
 //     but never by the wakeup walks.
 //
-// Both wakeup implementations — the event-driven default and the
-// scanwakeup-tagged reference scheduler — go through the hotAt/coldAt
-// accessor seam below, so the layout can change again without touching
-// scheduler logic.
+// The scheduler and the wakeup oracle in the tests go through the
+// hotAt/coldAt accessor seam below, so the layout can change again
+// without touching scheduler logic.
 
 // robHot is one active-list slot's scheduler state. Keep it at 8 bytes:
 // completion, wakeup and commit chase these in data-dependent order, and
@@ -62,10 +61,10 @@ type window struct {
 	hot  []robHot
 	cold []robCold
 
-	// Event-driven wakeup links (unused in scan mode). wnext[slot*2+op]
-	// chains the per-register waiter lists; sNext[slot] chains the
-	// per-store list a blocked load sits on. Link words are only read
-	// while the slot is on the corresponding list.
+	// Event-driven wakeup links. wnext[slot*2+op] chains the
+	// per-register waiter lists; sNext[slot] chains the per-store list a
+	// blocked load sits on. Link words are only read while the slot is
+	// on the corresponding list.
 	wnext []int32
 	sNext []int32
 
@@ -88,8 +87,8 @@ func (w *window) init(n, m int) {
 	w.lsq = make([]lsqEntry, m)
 }
 
-// hotAt and coldAt are the accessor seam shared by the event-driven and
-// scan wakeup paths (and everything else that resolves a slot ID to entry
-// state): all layout knowledge stays behind these two calls.
+// hotAt and coldAt are the accessor seam shared by the wakeup, the wakeup
+// oracle in the tests, and everything else that resolves a slot ID to
+// entry state: all layout knowledge stays behind these two calls.
 func (w *window) hotAt(id int32) *robHot   { return &w.hot[id] }
 func (w *window) coldAt(id int32) *robCold { return &w.cold[id] }
