@@ -419,9 +419,13 @@ func BenchmarkSimShortCell(b *testing.B) {
 // every core's 10k pipeline cycles, the shared-die thermal solve, and
 // the scheduler/DTM bookkeeping — at 1/2/4/8 cores on the tiled plan.
 // Cores advance serially (Parallelism=1) so the per-op cost scales
-// ~linearly with the core count and is comparable across machines; the
-// horizon and queue are oversized so every measured step has all cores
-// busy rather than draining.
+// ~linearly with the core count and is comparable across machines. The
+// horizon, and with it every task, is too long to finish, and the DTM
+// budget sits above any temperature the die reaches, so every measured
+// step runs all cores: at the default budget the saturated die crosses
+// its threshold at once and every later step is a cooling stall that
+// costs almost nothing. The first two steps start the tasks and build
+// and warm the machines outside the timer.
 func BenchmarkMulticoreInterval(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
@@ -431,11 +435,17 @@ func BenchmarkMulticoreInterval(b *testing.B) {
 				Cycles:      1 << 40,
 				Tasks:       8192,
 				ArrivalGap:  1, // saturated queue: cores never idle
+				MaxTempK:    1000,
 				Parallelism: 1,
 			}
 			s, err := multicore.NewSystem(p)
 			if err != nil {
 				b.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := s.Step(); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
