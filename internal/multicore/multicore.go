@@ -314,9 +314,6 @@ func (s *System) NumCores() int { return len(s.cores) }
 // CoreBusy reports whether core c is running or stalling a task.
 func (s *System) CoreBusy(c int) bool { return s.cores[c].task != nil }
 
-// CoreStalled reports whether core c is inside a cooling stall.
-func (s *System) CoreStalled(c int) bool { return s.cores[c].stallRemaining > 0 }
-
 // CorePeak returns the hottest block temperature of core c's tile in the
 // shared field as of the last completed interval (ambient before the
 // first).

@@ -10,35 +10,16 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/config"
-	"repro/internal/pipeline"
 )
 
-// resultJSON is the wire mirror of Result.
+// resultFields is Result without its methods, so encoding it does not
+// recurse into Result's MarshalJSON and UnmarshalJSON.
+type resultFields Result
+
+// resultJSON is the wire form: Result's tagged exported fields, then the
+// temperature vectors Result keeps unexported.
 type resultJSON struct {
-	Benchmark  string                  `json:"benchmark"`
-	Plan       config.FloorplanVariant `json:"plan"`
-	Techniques config.Techniques       `json:"techniques"`
-
-	Committed    uint64  `json:"committed"`
-	Cycles       int64   `json:"cycles"`
-	ActiveCycles int64   `json:"active_cycles"`
-	StallCycles  int64   `json:"stall_cycles"`
-	IPC          float64 `json:"ipc"`
-
-	Stalls            uint64   `json:"stalls"`
-	IntToggles        uint64   `json:"int_toggles"`
-	FPToggles         uint64   `json:"fp_toggles"`
-	ALUTurnoffs       uint64   `json:"alu_turnoffs"`
-	RFCopyTurnoffs    uint64   `json:"rf_copy_turnoffs"`
-	RFTurnoffsPerCopy []uint64 `json:"rf_turnoffs_per_copy"`
-	DVFSEngagements   uint64   `json:"dvfs_engagements"`
-	SlowCycles        int64    `json:"slow_cycles"`
-	AvgChipPowerW     float64  `json:"avg_chip_power_w"`
-
-	Utilization pipeline.Utilization `json:"utilization"`
-
+	*resultFields
 	Blocks   []string  `json:"blocks"`
 	AvgTempK []float64 `json:"avg_temp_k"`
 	PeakTemp []float64 `json:"peak_temp_k"`
@@ -46,35 +27,14 @@ type resultJSON struct {
 
 // MarshalJSON encodes the result, temperature vectors included.
 func (r *Result) MarshalJSON() ([]byte, error) {
-	return json.Marshal(resultJSON{
-		Benchmark:         r.Benchmark,
-		Plan:              r.Plan,
-		Techniques:        r.Techniques,
-		Committed:         r.Committed,
-		Cycles:            r.Cycles,
-		ActiveCycles:      r.ActiveCycles,
-		StallCycles:       r.StallCycles,
-		IPC:               r.IPC,
-		Stalls:            r.Stalls,
-		IntToggles:        r.IntToggles,
-		FPToggles:         r.FPToggles,
-		ALUTurnoffs:       r.ALUTurnoffs,
-		RFCopyTurnoffs:    r.RFCopyTurnoffs,
-		RFTurnoffsPerCopy: r.RFTurnoffsPerCopy,
-		DVFSEngagements:   r.DVFSEngagements,
-		SlowCycles:        r.SlowCycles,
-		AvgChipPowerW:     r.AvgChipPowerW,
-		Utilization:       r.Utilization,
-		Blocks:            r.blockNames,
-		AvgTempK:          r.avgTemp,
-		PeakTemp:          r.peakTemp,
-	})
+	return json.Marshal(resultJSON{(*resultFields)(r), r.blockNames, r.avgTemp, r.peakTemp})
 }
 
 // UnmarshalJSON decodes a result, restoring the unexported temperature
 // vectors; the three block-indexed slices must agree in length.
 func (r *Result) UnmarshalJSON(b []byte) error {
-	var w resultJSON
+	var out Result
+	w := resultJSON{resultFields: (*resultFields)(&out)}
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
@@ -82,32 +42,11 @@ func (r *Result) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("sim: result JSON has %d blocks but %d avg / %d peak temperatures",
 			len(w.Blocks), len(w.AvgTempK), len(w.PeakTemp))
 	}
-	*r = Result{
-		Benchmark:         w.Benchmark,
-		Plan:              w.Plan,
-		Techniques:        w.Techniques,
-		Committed:         w.Committed,
-		Cycles:            w.Cycles,
-		ActiveCycles:      w.ActiveCycles,
-		StallCycles:       w.StallCycles,
-		IPC:               w.IPC,
-		Stalls:            w.Stalls,
-		IntToggles:        w.IntToggles,
-		FPToggles:         w.FPToggles,
-		ALUTurnoffs:       w.ALUTurnoffs,
-		RFCopyTurnoffs:    w.RFCopyTurnoffs,
-		RFTurnoffsPerCopy: w.RFTurnoffsPerCopy,
-		DVFSEngagements:   w.DVFSEngagements,
-		SlowCycles:        w.SlowCycles,
-		AvgChipPowerW:     w.AvgChipPowerW,
-		Utilization:       w.Utilization,
-		blockNames:        w.Blocks,
-		avgTemp:           w.AvgTempK,
-		peakTemp:          w.PeakTemp,
-	}
-	r.blockIdx = make(map[string]int, len(w.Blocks))
+	out.blockNames, out.avgTemp, out.peakTemp = w.Blocks, w.AvgTempK, w.PeakTemp
+	out.blockIdx = make(map[string]int, len(w.Blocks))
 	for i, n := range w.Blocks {
-		r.blockIdx[n] = i
+		out.blockIdx[n] = i
 	}
+	*r = out
 	return nil
 }

@@ -97,34 +97,34 @@ func NewByName(cfg *config.Config, benchmark string) (*Simulator, error) {
 
 // Result summarizes one run.
 type Result struct {
-	Benchmark  string
-	Plan       config.FloorplanVariant
-	Techniques config.Techniques
+	Benchmark  string                  `json:"benchmark"`
+	Plan       config.FloorplanVariant `json:"plan"`
+	Techniques config.Techniques       `json:"techniques"`
 
-	Committed    uint64
-	Cycles       int64 // total, including cooling stalls
-	ActiveCycles int64
-	StallCycles  int64
-	IPC          float64
+	Committed    uint64  `json:"committed"`
+	Cycles       int64   `json:"cycles"` // total, including cooling stalls
+	ActiveCycles int64   `json:"active_cycles"`
+	StallCycles  int64   `json:"stall_cycles"`
+	IPC          float64 `json:"ipc"`
 
-	Stalls         uint64
-	IntToggles     uint64
-	FPToggles      uint64
-	ALUTurnoffs    uint64
-	RFCopyTurnoffs uint64
+	Stalls         uint64 `json:"stalls"`
+	IntToggles     uint64 `json:"int_toggles"`
+	FPToggles      uint64 `json:"fp_toggles"`
+	ALUTurnoffs    uint64 `json:"alu_turnoffs"`
+	RFCopyTurnoffs uint64 `json:"rf_copy_turnoffs"`
 	// RFTurnoffsPerCopy counts turnoff transitions per register-file copy
 	// (Table 6 reports these for eon).
-	RFTurnoffsPerCopy []uint64
+	RFTurnoffsPerCopy []uint64 `json:"rf_turnoffs_per_copy"`
 	// DVFSEngagements and SlowCycles describe the TemporalDVFS fallback:
 	// how often the divided clock engaged and how many extra wall-clock
 	// cycles it cost.
-	DVFSEngagements uint64
-	SlowCycles      int64
-	AvgChipPowerW   float64
+	DVFSEngagements uint64  `json:"dvfs_engagements"`
+	SlowCycles      int64   `json:"slow_cycles"`
+	AvgChipPowerW   float64 `json:"avg_chip_power_w"`
 
 	// Utilization is the pipeline's resource-usage telemetry, derived from
 	// the same event counters that drive the energy model.
-	Utilization pipeline.Utilization
+	Utilization pipeline.Utilization `json:"utilization"`
 
 	blockNames []string
 	blockIdx   map[string]int
