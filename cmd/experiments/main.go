@@ -3,7 +3,7 @@
 // Usage:
 //
 //	experiments [-cycles N] [-benchmarks a,b,c] [-parallel N]
-//	            [-cache-dir DIR] [-detail] [-cores N] [-scheduler a,b]
+//	            [-detail] [-cores N] [-scheduler a,b]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //	            [table1|table2|table3|table4|table5|table6|fig6|fig7|fig8|all|multicore]...
 //
@@ -12,11 +12,12 @@
 // The assembled tables and figures are byte-identical at any setting —
 // only the interleaving of progress lines changes.
 //
-// With -cache-dir the matrices run through the internal/service job
-// engine backed by a persistent content-addressed result cache: cells
-// already computed by an earlier invocation (or by a pipethermd daemon
-// sharing the directory) are served from the cache instead of being
-// re-simulated, marked "(cached)" in the progress output.
+// Every matrix runs in process through experiments.Run. For results
+// cached across invocations, submit the experiment to a pipethermd
+// daemon instead (POST /v1/jobs {"experiment":...}, then
+// GET /v1/jobs/{key}/report): it renders the same report for table4,
+// table5, table6, fig6, fig7, fig8 and temporal. combined and multicore
+// run only here.
 //
 // Three extension experiments beyond the paper's evaluation run when
 // named explicitly: "temporal" (stop-go vs DVFS fallbacks), "combined"
@@ -46,7 +47,6 @@ import (
 	"repro/internal/multicore"
 	"repro/internal/power"
 	"repro/internal/regfile"
-	"repro/internal/service"
 	"repro/internal/trace"
 )
 
@@ -73,9 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		quiet    = fs.Bool("quiet", false, "suppress per-run progress")
 		bars     = fs.Bool("bars", false, "also render figures as ASCII bar charts")
 		parallel = fs.Int("parallel", 0, "matrix workers (0 = one per CPU, 1 = serial)")
-		cacheDir = fs.String("cache-dir", "",
-			"run through the job engine with a persistent result cache in DIR; previously computed cells are not re-simulated")
-		detail = fs.Bool("detail", false,
+		detail   = fs.Bool("detail", false,
 			"append per-cell utilization telemetry (issue-queue half occupancy, ALU grant shares, RF read shares) after each matrix")
 		cores = fs.Int("cores", 4,
 			"core count for the multicore experiment (tiled onto a shared die)")
@@ -172,32 +170,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		progress = stderr
 	}
 
-	// With a cache directory, matrices run through the service engine so
-	// cells computed by earlier invocations are reused.
-	runMatrix := func(spec experiments.Spec) (*experiments.Matrix, error) {
-		spec.Parallelism = *parallel
-		return experiments.Run(ctx, spec, progress)
-	}
-	if *cacheDir != "" {
-		cache, err := service.NewCache(1024, *cacheDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "experiments: %v\n", err)
-			return 1
-		}
-		workers := *parallel
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		engine := service.NewEngine(service.EngineConfig{Workers: workers, QueueDepth: 2048, Cache: cache})
-		defer engine.Shutdown(context.Background())
-		runMatrix = func(spec experiments.Spec) (*experiments.Matrix, error) {
-			spec.Parallelism = *parallel
-			return engine.RunMatrix(ctx, spec, progress)
-		}
-	}
-
 	runAndPrint := func(spec experiments.Spec, render func(*experiments.Matrix) string) error {
-		m, err := runMatrix(spec)
+		spec.Parallelism = *parallel
+		m, err := experiments.Run(ctx, spec, progress)
 		if err != nil {
 			return err
 		}

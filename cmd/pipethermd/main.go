@@ -8,10 +8,9 @@
 //
 //	pipethermd [-addr :8080] [-workers N] [-queue N]
 //	           [-cache-entries N] [-cache-dir DIR] [-journal-dir DIR]
-//	           [-job-timeout D] [-retries N] [-retry-base D]
-//	           [-quarantine-after N] [-drain-timeout D]
+//	           [-job-timeout D] [-drain-timeout D]
 //	           [-default-deadline D] [-watchdog D]
-//	           [-breaker-errors N] [-breaker-latency D] [-breaker-cooldown D]
+//	           [-chaos-disk-fault FILE]
 //
 // With -journal-dir, job submissions and completions are written to a
 // crash-safe journal: after a crash or SIGKILL the next start replays
@@ -21,15 +20,17 @@
 // daemon flips /readyz to 503, stops accepting work, lets running jobs
 // finish, and exits once drained or once -drain-timeout elapses.
 //
-// Overload protection: -default-deadline applies a deadline to jobs
-// whose submission carried none, -watchdog force-fails attempts that
-// stop making progress, and the -breaker-* flags tune the circuit
-// breakers guarding the disk cache and the journal (when a breaker is
-// open the daemon degrades — memory-only cache, durability "none" —
-// instead of failing; see /statusz). -chaos-disk-fault is a test seam:
-// while the named file exists, every disk touch by the cache and the
-// journal fails with ENOSPC, which is how the overload e2e yanks the
-// disk out from under a live daemon.
+// Transient failures retry twice with jittered backoff, and a job key
+// that panics three times is quarantined. Overload protection:
+// -default-deadline applies a deadline to jobs whose submission carried
+// none, -watchdog force-fails attempts that stop making progress, and
+// circuit breakers guard the disk cache and the journal (when a breaker
+// is open the daemon degrades — memory-only cache, durability "none" —
+// instead of failing; /metrics reports the health state, durability and
+// both breakers). -chaos-disk-fault is a test seam: while the named file
+// exists, every disk touch by the cache and the journal fails with
+// ENOSPC, which is how the overload e2e yanks the disk out from under a
+// live daemon.
 package main
 
 import (
@@ -74,15 +75,9 @@ func run(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 		cacheDir     = fs.String("cache-dir", "", "directory for the persistent result cache (empty: memory only)")
 		journalDir   = fs.String("journal-dir", "", "directory for the durable job journal (empty: jobs do not survive a crash)")
 		jobTimeout   = fs.Duration("job-timeout", 0, "per-job wall-clock limit (0: none); timed-out attempts are retried")
-		retries      = fs.Int("retries", 2, "retries per job for transient failures (-1: none)")
-		retryBase    = fs.Duration("retry-base", 50*time.Millisecond, "first retry backoff delay (doubled per retry, jittered)")
-		quarAfter    = fs.Int("quarantine-after", 3, "panics before a job key is quarantined")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown grace period for running jobs")
 		defDeadline  = fs.Duration("default-deadline", 0, "deadline applied to submissions that carry none (0: none)")
 		watchdog     = fs.Duration("watchdog", 0, "force-fail attempts making no progress for this long (0: 10x -job-timeout)")
-		brkErrors    = fs.Int("breaker-errors", 3, "consecutive disk errors that open a cache/journal circuit breaker")
-		brkLatency   = fs.Duration("breaker-latency", 2*time.Second, "disk operations slower than this count as breaker failures")
-		brkCooldown  = fs.Duration("breaker-cooldown", 2*time.Second, "open breaker cooldown before a half-open probe")
 		chaosFault   = fs.String("chaos-disk-fault", "", "test seam: fail all cache/journal disk I/O with ENOSPC while FILE exists")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -106,17 +101,8 @@ func run(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 		QueueDepth:      *queue,
 		JobTimeout:      *jobTimeout,
 		Cache:           cache,
-		MaxRetries:      *retries,
-		RetryBase:       *retryBase,
-		QuarantineAfter: *quarAfter,
 		DefaultDeadline: *defDeadline,
 		Watchdog:        *watchdog,
-		BreakerFailures: *brkErrors,
-		BreakerLatency:  *brkLatency,
-		BreakerCooldown: *brkCooldown,
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = -1 // flag 0 means "no retries", not "engine default"
 	}
 	if *chaosFault != "" {
 		// While the sentinel file exists every disk touch by the cache
@@ -129,7 +115,6 @@ func run(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 			inj.ArmWhileFile(site, *chaosFault, faultinject.Outcome{Err: faultinject.ErrNoSpace})
 		}
 		cfg.Inject = inj
-		cache.SetInjector(inj)
 		fmt.Fprintf(stdout, "pipethermd: chaos: disk I/O fails with ENOSPC while %s exists\n", *chaosFault)
 	}
 	if *journalDir != "" {

@@ -131,8 +131,13 @@ func TestDaemonDrainWaitsForRunningJob(t *testing.T) {
 
 func TestDaemonBadFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errOut, context.Background()); code != 2 {
-		t.Errorf("unknown flag: exit %d, want 2", code)
+	// The retry, quarantine and breaker settings are the engine's own
+	// defaults, not flags.
+	for _, flag := range []string{"-no-such-flag", "-retries", "-retry-base", "-quarantine-after",
+		"-breaker-errors", "-breaker-latency", "-breaker-cooldown"} {
+		if code := run([]string{flag, "1"}, &out, &errOut, context.Background()); code != 2 {
+			t.Errorf("unknown flag %s: exit %d, want 2", flag, code)
+		}
 	}
 	if code := run([]string{"stray"}, &out, &errOut, context.Background()); code != 2 {
 		t.Errorf("stray argument: exit %d, want 2", code)

@@ -5,8 +5,10 @@
 // to seconds-per-write degrades instead of stalling every job — and
 // recovers through the standard half-open probe: after the cooldown one
 // caller is let through, success closes the breaker, failure re-opens
-// it for another cooldown. See DESIGN.md, "Overload and degraded
-// modes".
+// it for another cooldown. The engine's two breakers trip after 3
+// consecutive failures, count a disk operation slower than 2s as a
+// failure, and probe after a 2s cooldown. See DESIGN.md, "Overload and
+// degraded modes".
 //
 // Time flows through an injected now func (the faultinject clock seam),
 // so cooldown expiry is testable without sleeping.
@@ -37,8 +39,7 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerSnapshot is the wire shape of a breaker, served in /metrics
-// and /statusz.
+// BreakerSnapshot is the wire shape of a breaker, served in /metrics.
 type BreakerSnapshot struct {
 	State               string `json:"state"`
 	ConsecutiveFailures int    `json:"consecutive_failures"`

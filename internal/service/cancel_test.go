@@ -30,7 +30,7 @@ func blockingRun(runs *atomic.Int64, ended chan<- struct{}) func(context.Context
 // no backoff.
 func TestEngineDeadlineMidAttemptShedsWithoutRetry(t *testing.T) {
 	var runs atomic.Int64
-	e := NewEngine(EngineConfig{Workers: 1, QueueDepth: 4, RetryBase: time.Second,
+	e := NewEngine(EngineConfig{Workers: 1, QueueDepth: 4, retryBase: time.Second,
 		runFunc: blockingRun(&runs, make(chan struct{}, 4))})
 	defer shutdownEngine(t, e)
 
@@ -62,7 +62,7 @@ func TestEngineBackoffWakesOnAbandon(t *testing.T) {
 	var runs atomic.Int64
 	ended := make(chan struct{}, 4)
 	e := NewEngine(EngineConfig{Workers: 1, QueueDepth: 4, JobTimeout: 10 * time.Millisecond,
-		RetryBase: time.Second, runFunc: blockingRun(&runs, ended)})
+		retryBase: time.Second, runFunc: blockingRun(&runs, ended)})
 	defer shutdownEngine(t, e)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -99,7 +99,7 @@ func TestEngineBackoffWakesOnShutdown(t *testing.T) {
 	var runs atomic.Int64
 	ended := make(chan struct{}, 4)
 	e := NewEngine(EngineConfig{Workers: 1, QueueDepth: 4, JobTimeout: 10 * time.Millisecond,
-		RetryBase: time.Second, Journal: jnl, Replay: recs, runFunc: blockingRun(&runs, ended)})
+		retryBase: time.Second, Journal: jnl, Replay: recs, runFunc: blockingRun(&runs, ended)})
 
 	j, err := e.Submit(cellReq("eon"))
 	if err != nil {

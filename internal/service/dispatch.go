@@ -64,7 +64,7 @@ const retryMax = 2 * time.Second
 // early when the job's run context ends (runDone) or Shutdown begins;
 // the stop check that follows it says why.
 func (e *Engine) backoff(attempt int, runDone <-chan struct{}) {
-	d := e.cfg.RetryBase << uint(attempt)
+	d := e.cfg.retryBase << uint(attempt)
 	if d <= 0 || d > retryMax {
 		d = retryMax
 	}

@@ -26,10 +26,10 @@ func (e *Engine) recoverJournal(recs []journal.Record) {
 		var req Request
 		json.Unmarshal(rec.Req, &req) // best-effort: old markers may lack the request
 		j := &Job{Key: rec.Key, Req: req, state: JobQuarantined,
-			err: errors.New(rec.Err), panics: e.cfg.QuarantineAfter, done: closedDone}
+			err: errors.New(rec.Err), panics: e.cfg.quarantineAfter, done: closedDone}
 		e.mu.Lock()
 		e.jobs[rec.Key] = j
-		e.panicCounts[rec.Key] = e.cfg.QuarantineAfter
+		e.panicCounts[rec.Key] = e.cfg.quarantineAfter
 		e.mu.Unlock()
 	}
 	compact := append(append([]journal.Record{}, quarantined...), pending...)

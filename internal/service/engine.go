@@ -1,8 +1,7 @@
 // The job engine: content-addressed job submission with single-flight
 // deduplication, a bounded queue with explicit rejection, per-job
 // timeout/cancellation, worker-pool execution, and queryable job
-// states. One Engine is shared by the HTTP daemon (cmd/pipethermd) and
-// the in-process matrix path (cmd/experiments -cache-dir).
+// states. The HTTP daemon (cmd/pipethermd) serves one Engine.
 //
 // One engine mutex guards the engine's state — the job map, the
 // batches, one FIFO run queue that every worker pops from (dispatch.go),
@@ -21,7 +20,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +41,7 @@ const (
 	JobRunning JobState = "running"
 	JobDone    JobState = "done"
 	JobFailed  JobState = "failed"
-	// JobQuarantined marks a job key that panicked QuarantineAfter
+	// JobQuarantined marks a job key that panicked quarantineAfter
 	// times: permanently failed, never re-enqueued, its poison marker
 	// journaled across restarts.
 	JobQuarantined JobState = "quarantined"
@@ -80,7 +78,7 @@ var ErrAbandoned = errors.New("service: abandoned by client")
 var ErrStuck = errors.New("service: attempt made no progress (watchdog)")
 
 // errJobTimeout ends an attempt that ran out EngineConfig.JobTimeout:
-// the transient early end, retried up to MaxRetries.
+// the transient early end, retried up to maxRetries.
 var errJobTimeout = fmt.Errorf("service: job timeout: %w", context.DeadlineExceeded)
 
 // Job is one submitted cell. All mutable fields are guarded by the
@@ -173,21 +171,10 @@ type EngineConfig struct {
 	QueueDepth int
 	// JobTimeout cancels a single cell run after this long; <= 0 means
 	// no per-job timeout. A timed-out attempt counts as transient and
-	// is retried up to MaxRetries.
+	// is retried up to maxRetries.
 	JobTimeout time.Duration
 	// Cache is the result cache; nil means a small memory-only cache.
 	Cache *Cache
-
-	// MaxRetries bounds retries of transient failures (timeouts,
-	// injected I/O errors) per submission: 0 means the default of 2
-	// (three attempts total), negative disables retries.
-	MaxRetries int
-	// RetryBase is the first backoff delay (doubled per retry, with
-	// jitter, capped at 2s); <= 0 means 50ms.
-	RetryBase time.Duration
-	// QuarantineAfter is how many recovered panics a job key may
-	// accumulate before it is quarantined; <= 0 means 3.
-	QuarantineAfter int
 
 	// Journal, when non-nil, makes job transitions durable: submits are
 	// WAL-logged before enqueue, terminal states on settle, and Replay
@@ -207,21 +194,33 @@ type EngineConfig struct {
 	// (disabled when JobTimeout is 0 too); negative disables it.
 	Watchdog time.Duration
 
-	// Breaker thresholds shared by the cache-disk and journal breakers:
-	// BreakerFailures consecutive failures (or over-latency successes,
-	// past BreakerLatency) trip a breaker open; after BreakerCooldown
-	// one probe is admitted. Zero values mean 3 / 2s / 2s.
-	BreakerFailures int
-	BreakerLatency  time.Duration
-	BreakerCooldown time.Duration
-
 	// Inject is the chaos-testing seam (internal/faultinject); nil — the
 	// production case — disarms every site. Its clock, when set, also
 	// drives the breakers' cooldown timing and deadline arithmetic.
 	Inject *faultinject.Injector
 
+	// The fields below are in-package test seams; their zero values are
+	// the production settings.
+	//
+	// maxRetries bounds retries of transient failures (timeouts,
+	// injected I/O errors) per submission: 0 means 2 (three attempts
+	// total), negative disables retries.
+	maxRetries int
+	// retryBase is the first backoff delay (doubled per retry, with
+	// jitter, capped at 2s); <= 0 means 50ms.
+	retryBase time.Duration
+	// quarantineAfter is how many recovered panics a job key may
+	// accumulate before it is quarantined; <= 0 means 3.
+	quarantineAfter int
+	// Breaker thresholds shared by the cache-disk and journal breakers:
+	// breakerFailures consecutive failures (or over-latency successes,
+	// past breakerLatency) trip a breaker open; after breakerCooldown
+	// one probe is admitted. Zero values mean 3 / 2s / 2s.
+	breakerFailures int
+	breakerLatency  time.Duration
+	breakerCooldown time.Duration
 	// runFunc replaces the cell runner before workers and journal
-	// replay start. In-package tests only.
+	// replay start.
 	runFunc func(ctx context.Context, req Request) ([]byte, error)
 }
 
@@ -320,16 +319,16 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	cfg.Cache.SetInjector(cfg.Inject)
 	switch {
-	case cfg.MaxRetries == 0:
-		cfg.MaxRetries = 2
-	case cfg.MaxRetries < 0:
-		cfg.MaxRetries = 0
+	case cfg.maxRetries == 0:
+		cfg.maxRetries = 2
+	case cfg.maxRetries < 0:
+		cfg.maxRetries = 0
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 50 * time.Millisecond
+	if cfg.retryBase <= 0 {
+		cfg.retryBase = 50 * time.Millisecond
 	}
-	if cfg.QuarantineAfter <= 0 {
-		cfg.QuarantineAfter = 3
+	if cfg.quarantineAfter <= 0 {
+		cfg.quarantineAfter = 3
 	}
 	switch {
 	case cfg.Watchdog == 0 && cfg.JobTimeout > 0:
@@ -358,10 +357,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	e.work.L, e.space.L = &e.mu, &e.mu
 	e.healthSince = e.now()
-	e.cbrk = newBreaker("cache", cfg.BreakerFailures, cfg.BreakerLatency, cfg.BreakerCooldown, e.now)
+	e.cbrk = newBreaker("cache", cfg.breakerFailures, cfg.breakerLatency, cfg.breakerCooldown, e.now)
 	cfg.Cache.SetBreaker(e.cbrk)
 	if cfg.Journal != nil {
-		e.jbrk = newBreaker("journal", cfg.BreakerFailures, cfg.BreakerLatency, cfg.BreakerCooldown, e.now)
+		e.jbrk = newBreaker("journal", cfg.breakerFailures, cfg.breakerLatency, cfg.breakerCooldown, e.now)
 	}
 	if cfg.runFunc != nil {
 		e.run = cfg.runFunc
@@ -521,44 +520,6 @@ func (e *Engine) BatchMatrix(key string) (*experiments.Matrix, error) {
 			return nil, fmt.Errorf("service: batch %q cell %d: %w", key, i, err)
 		}
 		m.Cells[i] = experiments.Cell{Benchmark: j.Req.Benchmark, Variant: variantName(spec, i), R: &r}
-	}
-	return m, nil
-}
-
-// RunMatrix runs an experiment spec through the engine: every cell is
-// submitted (cached cells settle instantly) and awaited in serial
-// order, so progress lines and the assembled Matrix are deterministic.
-// This is the path cmd/experiments -cache-dir takes.
-func (e *Engine) RunMatrix(ctx context.Context, spec experiments.Spec, w io.Writer) (*experiments.Matrix, error) {
-	cells := SpecCells(spec)
-	jobs := make([]*Job, len(cells))
-	for i, c := range cells {
-		j, err := e.Submit(c)
-		if err != nil {
-			return nil, fmt.Errorf("service: %s/%s: %w", c.Benchmark, variantName(spec, i), err)
-		}
-		jobs[i] = j
-	}
-	m := &experiments.Matrix{Spec: spec, Cells: make([]experiments.Cell, len(cells))}
-	prog := runner.NewProgress(w, len(cells))
-	for i, j := range jobs {
-		st, err := e.Wait(ctx, j.Key)
-		if err != nil {
-			return nil, err
-		}
-		if st.State != JobDone {
-			return nil, fmt.Errorf("service: %s/%s: %s", j.Req.Benchmark, variantName(spec, i), st.Error)
-		}
-		var r sim.Result
-		if err := json.Unmarshal(st.Result, &r); err != nil {
-			return nil, fmt.Errorf("service: %s/%s: %w", j.Req.Benchmark, variantName(spec, i), err)
-		}
-		m.Cells[i] = experiments.Cell{Benchmark: j.Req.Benchmark, Variant: variantName(spec, i), R: &r}
-		note := ""
-		if st.Cached {
-			note = " (cached)"
-		}
-		prog.Step("%s %-9s %-24s IPC=%.3f stalls=%d%s", spec.ID, j.Req.Benchmark, variantName(spec, i), r.IPC, r.Stalls, note)
 	}
 	return m, nil
 }

@@ -120,9 +120,9 @@ func runSchedule(t *testing.T, seed uint64) {
 	cfg := EngineConfig{
 		Workers:         1 + r.Intn(3),
 		QueueDepth:      4 + r.Intn(12),
-		MaxRetries:      []int{-1, 0, 1}[r.Intn(3)],
-		RetryBase:       time.Duration(1+r.Intn(4)) * time.Millisecond,
-		QuarantineAfter: 1 + r.Intn(3),
+		maxRetries:      []int{-1, 0, 1}[r.Intn(3)],
+		retryBase:       time.Duration(1+r.Intn(4)) * time.Millisecond,
+		quarantineAfter: 1 + r.Intn(3),
 		Watchdog:        -1,
 	}
 	// A durable schedule parks its blocked runs until Shutdown, so they

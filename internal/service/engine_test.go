@@ -472,54 +472,6 @@ func TestEngineUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestEngineRunMatrixRealSim runs a tiny real matrix through the engine
-// twice and checks the second pass is all cache hits with an identical
-// report — the in-process path cmd/experiments -cache-dir uses.
-func TestEngineRunMatrixRealSim(t *testing.T) {
-	cache, err := NewCache(64, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(EngineConfig{Workers: 2, QueueDepth: 64, Cache: cache})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		e.Shutdown(ctx)
-	}()
-
-	spec := experiments.Fig6(120_000, "eon")
-	spec.Warmup = 20_000
-
-	var prog1 bytes.Buffer
-	m1, err := e.RunMatrix(context.Background(), spec, &prog1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prog2 bytes.Buffer
-	m2, err := e.RunMatrix(context.Background(), spec, &prog2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Report() != m2.Report() {
-		t.Error("cached matrix renders a different report")
-	}
-	if !strings.Contains(prog2.String(), "(cached)") {
-		t.Errorf("second pass not served from cache:\n%s", prog2.String())
-	}
-	if strings.Contains(prog1.String(), "(cached)") {
-		t.Errorf("first pass claims cache hits:\n%s", prog1.String())
-	}
-
-	// The engine matrix must match a direct experiments.Run byte for byte.
-	direct, err := experiments.Run(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Report() != m1.Report() {
-		t.Errorf("engine report differs from direct run:\n--- engine ---\n%s--- direct ---\n%s", m1.Report(), direct.Report())
-	}
-}
-
 // TestBatchResubmitNegativeWarmupDedups: a matrix resubmitted with
 // warmup -5 is the same matrix as with warmup 0, so it must count a
 // dedup rather than register a second Batch.

@@ -22,7 +22,7 @@ func stubResult(bench string) []byte {
 // fastRetries shrinks the backoff knobs so retry tests settle in
 // milliseconds.
 func fastRetries(cfg EngineConfig) EngineConfig {
-	cfg.RetryBase = time.Millisecond
+	cfg.retryBase = time.Millisecond
 	return cfg
 }
 
@@ -79,7 +79,7 @@ func TestEnginePanicIsolated(t *testing.T) {
 // the poisoned job without another run.
 func TestEngineQuarantineAfterRepeatedPanics(t *testing.T) {
 	var runs atomic.Int64
-	e := NewEngine(fastRetries(EngineConfig{Workers: 1, QueueDepth: 8, QuarantineAfter: 2}))
+	e := NewEngine(fastRetries(EngineConfig{Workers: 1, QueueDepth: 8, quarantineAfter: 2}))
 	defer shutdownEngine(t, e)
 	e.run = func(ctx context.Context, req Request) ([]byte, error) {
 		runs.Add(1)
@@ -129,7 +129,7 @@ func TestEngineQuarantineAfterRepeatedPanics(t *testing.T) {
 // between panics is still quarantined.
 func TestEnginePanicCountSpansSubmissions(t *testing.T) {
 	var runs atomic.Int64
-	e := NewEngine(fastRetries(EngineConfig{Workers: 1, QueueDepth: 8, QuarantineAfter: 2}))
+	e := NewEngine(fastRetries(EngineConfig{Workers: 1, QueueDepth: 8, quarantineAfter: 2}))
 	defer shutdownEngine(t, e)
 	e.run = func(ctx context.Context, req Request) ([]byte, error) {
 		switch runs.Add(1) {
@@ -173,7 +173,7 @@ func TestEnginePanicCountSpansSubmissions(t *testing.T) {
 // retried with backoff until the run succeeds.
 func TestEngineTransientErrorRetried(t *testing.T) {
 	var runs atomic.Int64
-	e := NewEngine(fastRetries(EngineConfig{Workers: 1, QueueDepth: 8})) // MaxRetries default: 2
+	e := NewEngine(fastRetries(EngineConfig{Workers: 1, QueueDepth: 8})) // maxRetries default: 2
 	defer shutdownEngine(t, e)
 	e.run = func(ctx context.Context, req Request) ([]byte, error) {
 		if runs.Add(1) <= 2 {
@@ -199,10 +199,10 @@ func TestEngineTransientErrorRetried(t *testing.T) {
 }
 
 // TestEngineRetriesExhausted: a transient failure that never clears
-// fails after MaxRetries+1 attempts with the attempt count in the error.
+// fails after maxRetries+1 attempts with the attempt count in the error.
 func TestEngineRetriesExhausted(t *testing.T) {
 	var runs atomic.Int64
-	e := NewEngine(fastRetries(EngineConfig{Workers: 1, QueueDepth: 8, MaxRetries: 1}))
+	e := NewEngine(fastRetries(EngineConfig{Workers: 1, QueueDepth: 8, maxRetries: 1}))
 	defer shutdownEngine(t, e)
 	e.run = func(ctx context.Context, req Request) ([]byte, error) {
 		runs.Add(1)
@@ -221,7 +221,7 @@ func TestEngineRetriesExhausted(t *testing.T) {
 		t.Fatalf("job = %+v, want failure after 2 attempts", st)
 	}
 	if runs.Load() != 2 {
-		t.Errorf("%d runs with MaxRetries=1, want 2", runs.Load())
+		t.Errorf("%d runs with maxRetries=1, want 2", runs.Load())
 	}
 }
 
@@ -518,7 +518,7 @@ func TestEngineQuarantineSurvivesRestart(t *testing.T) {
 	cfg1 := journalCfg(t, dir, func(ctx context.Context, req Request) ([]byte, error) {
 		panic("poison")
 	})
-	cfg1.QuarantineAfter = 1
+	cfg1.quarantineAfter = 1
 	e1 := NewEngine(cfg1)
 	j, err := e1.Submit(cellReq("eon"))
 	if err != nil {
@@ -538,7 +538,7 @@ func TestEngineQuarantineSurvivesRestart(t *testing.T) {
 		runs.Add(1)
 		return stubResult(req.Benchmark), nil
 	})
-	cfg2.QuarantineAfter = 1
+	cfg2.quarantineAfter = 1
 	e2 := NewEngine(cfg2)
 	defer shutdownEngine(t, e2)
 

@@ -1,5 +1,5 @@
-// Observability: the /metrics snapshot, the health state machine
-// behind /readyz, and /statusz, a projection of one Metrics snapshot.
+// Observability: the /metrics snapshot and the health state machine
+// behind /readyz.
 package service
 
 import (
@@ -247,7 +247,7 @@ func scaleVec(v []float64, k float64) []float64 {
 // serving and computing continue with reduced durability or cache
 // reach) → overloaded (shedding work, or still replaying the journal)
 // → draining (shutting down). It drives /readyz (503 only when
-// overloaded or draining), /statusz, and the /metrics health section.
+// overloaded or draining) and the /metrics health section.
 type HealthState string
 
 const (
@@ -312,65 +312,4 @@ func (e *Engine) readiness(s HealthState) (bool, string) {
 		return false, "overloaded"
 	}
 	return true, ""
-}
-
-// Statusz is the operator-facing /statusz snapshot: the health state
-// machine, the degraded-mode contracts in force, breaker internals, and
-// the overload-control readings behind recent admission decisions.
-type Statusz struct {
-	State          string            `json:"state"`
-	SinceSeconds   float64           `json:"since_seconds"`
-	Entered        map[string]uint64 `json:"entered"`
-	Ready          bool              `json:"ready"`
-	Reason         string            `json:"reason,omitempty"`
-	Durability     string            `json:"durability"`
-	CacheDegraded  bool              `json:"cache_degraded"`
-	CacheBreaker   BreakerSnapshot   `json:"cache_breaker"`
-	JournalBreaker BreakerSnapshot   `json:"journal_breaker"`
-
-	QueueDepth        int     `json:"queue_depth"`
-	QueueCapacity     int     `json:"queue_capacity"`
-	QueueWaitEWMAMS   float64 `json:"queue_wait_ewma_ms"`
-	RetryAfterSeconds int     `json:"retry_after_seconds"`
-	DefaultDeadlineMS int64   `json:"default_deadline_ms,omitempty"`
-	WatchdogMS        int64   `json:"watchdog_ms,omitempty"`
-
-	JobsShedExpired     uint64  `json:"jobs_shed_expired"`
-	JobsShedAdmission   uint64  `json:"jobs_shed_admission"`
-	JobsClientAbandoned uint64  `json:"jobs_client_abandoned"`
-	JobsWatchdogFired   uint64  `json:"jobs_watchdog_fired"`
-	JournalSkipped      uint64  `json:"journal_skipped"`
-	UptimeSeconds       float64 `json:"uptime_seconds"`
-}
-
-// Statusz returns the degraded-mode snapshot served at /statusz: one
-// Metrics snapshot projected, plus the configuration it runs under.
-func (e *Engine) Statusz() Statusz {
-	m := e.Metrics()
-	_, reason := e.readiness(HealthState(m.Health.State))
-	return Statusz{
-		State:          m.Health.State,
-		SinceSeconds:   m.Health.SinceSeconds,
-		Entered:        m.Health.Entered,
-		Ready:          m.Ready,
-		Reason:         reason,
-		Durability:     m.Durability,
-		CacheDegraded:  m.CacheDegraded != 0,
-		CacheBreaker:   m.CacheBreaker,
-		JournalBreaker: m.JournalBreaker,
-
-		QueueDepth:        m.JobsQueued,
-		QueueCapacity:     e.cfg.QueueDepth,
-		QueueWaitEWMAMS:   m.QueueWaitEWMAMS,
-		RetryAfterSeconds: e.RetryAfterSeconds(),
-		DefaultDeadlineMS: e.cfg.DefaultDeadline.Milliseconds(),
-		WatchdogMS:        e.cfg.Watchdog.Milliseconds(),
-
-		JobsShedExpired:     m.JobsShedExpired,
-		JobsShedAdmission:   m.JobsShedAdmission,
-		JobsClientAbandoned: m.JobsClientAbandoned,
-		JobsWatchdogFired:   m.JobsWatchdogFired,
-		JournalSkipped:      m.JournalSkipped,
-		UptimeSeconds:       m.UptimeSeconds,
-	}
 }

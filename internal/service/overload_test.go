@@ -1,8 +1,9 @@
 // Tests for the overload-protection and graceful-degradation layer:
 // deadline admission shedding, queued-job expiry, client abandonment,
 // the stuck-attempt watchdog, the disk circuit breakers with their
-// degraded modes, and the health state machine behind /readyz and
-// /statusz. See DESIGN.md, "Overload and degraded modes".
+// degraded modes, and the health state machine behind /readyz and the
+// /metrics health section. See DESIGN.md, "Overload and degraded
+// modes".
 package service
 
 import (
@@ -176,7 +177,7 @@ func TestEngineDefaultDeadlineApplies(t *testing.T) {
 	release := make(chan struct{})
 	e := stubEngine(t, EngineConfig{
 		Workers: 1, QueueDepth: 8,
-		DefaultDeadline: 20 * time.Millisecond, MaxRetries: -1,
+		DefaultDeadline: 20 * time.Millisecond, maxRetries: -1,
 	}, release, nil)
 
 	// Two jobs: one holds the worker, one waits out its default
@@ -376,7 +377,7 @@ func TestEngineJournalBreakerDegradesAndRecovers(t *testing.T) {
 	e := stubEngine(t, EngineConfig{
 		Workers: 1, QueueDepth: 8,
 		Journal: jnl, Replay: recs, Inject: inj,
-		BreakerFailures: 2, BreakerCooldown: 50 * time.Millisecond,
+		breakerFailures: 2, breakerCooldown: 50 * time.Millisecond,
 	}, release, nil)
 	waitUntil(t, 2*time.Second, "replay", func() bool { ready, _ := e.Ready(); return ready })
 
@@ -461,7 +462,7 @@ func TestEngineCacheBreakerDegradesToMemory(t *testing.T) {
 	cache.SetInjector(inj)
 	e := stubEngine(t, EngineConfig{
 		Workers: 1, QueueDepth: 8, Cache: cache, Inject: inj,
-		BreakerFailures: 2, BreakerCooldown: 30 * time.Millisecond,
+		breakerFailures: 2, breakerCooldown: 30 * time.Millisecond,
 	}, nil, nil)
 
 	// Every disk touch fails: each cell costs a failed read (miss path)
@@ -522,8 +523,11 @@ func TestEngineCacheBreakerDegradesToMemory(t *testing.T) {
 	})
 }
 
-func TestEngineStatuszSnapshot(t *testing.T) {
-	e := stubEngine(t, EngineConfig{Workers: 2, QueueDepth: 16, DefaultDeadline: time.Minute}, nil, nil)
+// TestEngineHealthSnapshot reads the health facts an operator needs
+// from one Metrics snapshot and Ready: state, readiness and its reason,
+// durability, the entered counters, and the switch to draining.
+func TestEngineHealthSnapshot(t *testing.T) {
+	e := stubEngine(t, EngineConfig{Workers: 2, QueueDepth: 16}, nil, nil)
 	j, err := e.Submit(cellReq("eon"))
 	if err != nil {
 		t.Fatal(err)
@@ -531,24 +535,23 @@ func TestEngineStatuszSnapshot(t *testing.T) {
 	if _, err := e.Wait(context.Background(), j.Key); err != nil {
 		t.Fatal(err)
 	}
-	s := e.Statusz()
-	if s.State != "healthy" || !s.Ready || s.Reason != "" {
-		t.Errorf("statusz health = %q ready=%v reason=%q", s.State, s.Ready, s.Reason)
+	m := e.Metrics()
+	ready, reason := e.Ready()
+	if m.Health.State != "healthy" || !m.Ready || !ready || reason != "" {
+		t.Errorf("health = %q ready=%v/%v reason=%q", m.Health.State, m.Ready, ready, reason)
 	}
-	if s.Durability != "off" {
-		t.Errorf("durability = %q without a journal, want off", s.Durability)
+	if m.Durability != "off" {
+		t.Errorf("durability = %q without a journal, want off", m.Durability)
 	}
-	if s.QueueCapacity != 16 || s.DefaultDeadlineMS != time.Minute.Milliseconds() {
-		t.Errorf("statusz config echo: %+v", s)
-	}
-	if s.Entered["healthy"] == 0 {
+	if m.Health.Entered["healthy"] == 0 {
 		t.Error("healthy state never counted as entered")
 	}
 
 	e.BeginDrain()
-	s = e.Statusz()
-	if s.State != "draining" || s.Ready || s.Reason != "draining" {
-		t.Errorf("statusz during drain = %q ready=%v reason=%q", s.State, s.Ready, s.Reason)
+	m = e.Metrics()
+	ready, reason = e.Ready()
+	if m.Health.State != "draining" || m.Ready || ready || reason != "draining" {
+		t.Errorf("during drain: health = %q ready=%v/%v reason=%q", m.Health.State, m.Ready, ready, reason)
 	}
 }
 
@@ -587,18 +590,26 @@ func TestServerDeadlineShedIs429WithRetryAfter(t *testing.T) {
 	}
 }
 
-func TestServerStatusz(t *testing.T) {
+// TestServerHealthMetrics checks the health facts /metrics serves: the
+// health state, readiness and both breaker states.
+func TestServerHealthMetrics(t *testing.T) {
 	ts, _ := newTestServer(t)
-	code, body := get(t, ts.URL+"/statusz")
+	code, body := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
-		t.Fatalf("statusz: %d %s", code, body)
+		t.Fatalf("metrics: %d %s", code, body)
 	}
-	var s Statusz
-	if err := json.Unmarshal(body, &s); err != nil {
-		t.Fatalf("statusz body %s: %v", body, err)
+	var m Metrics
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("metrics body %s: %v", body, err)
 	}
-	if s.State != "healthy" || !s.Ready || s.QueueCapacity == 0 {
-		t.Errorf("statusz = %+v", s)
+	if m.Health.State != "healthy" || !m.Ready {
+		t.Errorf("health = %q ready=%v", m.Health.State, m.Ready)
+	}
+	if m.CacheBreaker.State != "closed" || m.JournalBreaker.State != "closed" {
+		t.Errorf("breakers: cache %+v journal %+v", m.CacheBreaker, m.JournalBreaker)
+	}
+	if code, _ := get(t, ts.URL+"/statusz"); code != http.StatusNotFound {
+		t.Errorf("/statusz answered %d, want 404", code)
 	}
 }
 

@@ -168,18 +168,12 @@ func (b BatchRequest) Cells() (experiments.Spec, []Request, error) {
 	if err != nil {
 		return experiments.Spec{}, nil, err
 	}
-	return spec, SpecCells(spec), nil
-}
-
-// SpecCells expands an experiment spec into cell requests in serial
-// iteration order.
-func SpecCells(spec experiments.Spec) []Request {
 	benches := specBenchmarks(spec)
 	cells := make([]Request, 0, len(benches)*len(spec.Variants))
-	for _, b := range benches {
+	for _, bench := range benches {
 		for _, v := range spec.Variants {
 			cells = append(cells, Request{
-				Benchmark:  b,
+				Benchmark:  bench,
 				Plan:       spec.Plan,
 				Techniques: v.Tech,
 				Cycles:     spec.Cycles,
@@ -187,7 +181,7 @@ func SpecCells(spec experiments.Spec) []Request {
 			}.Normalize())
 		}
 	}
-	return cells
+	return spec, cells, nil
 }
 
 func specBenchmarks(spec experiments.Spec) []string {

@@ -2,9 +2,9 @@
 // recover(), so a panicking cell fails only that job (the stack lands
 // in JobStatus.Error) while the workers keep serving; a key that keeps
 // panicking is quarantined — failed permanently, never retried — after
-// QuarantineAfter attempts; transient failures (job timeout, injected
+// quarantineAfter attempts; transient failures (job timeout, injected
 // I/O errors) retry with exponential backoff and jitter up to
-// MaxRetries; and with a journal attached, submit/done/failed
+// maxRetries; and with a journal attached, submit/done/failed
 // transitions are WAL-logged so queued and interrupted jobs survive a
 // crash and are replayed on the next start (see DESIGN.md, "Failure
 // model and recovery").
@@ -71,14 +71,14 @@ func (e *Engine) runJob(j *Job) {
 			e.panicCounts[j.Key]++
 			n := e.panicCounts[j.Key]
 			e.mu.Unlock()
-			if n >= e.cfg.QuarantineAfter {
+			if n >= e.cfg.quarantineAfter {
 				e.quarantine(j, err)
 				return
 			}
 		case errors.Is(err, errJobTimeout) || errors.Is(err, faultinject.ErrIO):
 			// Transient. Simulator and validation errors are
 			// deterministic, so retrying them would be waste.
-			if attempt >= e.cfg.MaxRetries {
+			if attempt >= e.cfg.maxRetries {
 				e.finish(j, nil, fmt.Errorf("after %d attempts: %w", attempt+1, err))
 				return
 			}

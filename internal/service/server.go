@@ -9,11 +9,11 @@
 //	                           from the moment a drain begins, so load
 //	                           balancers stop routing before shutdown
 //	                           loses requests
-//	GET  /metrics              engine + cache + Go-runtime counters and
-//	                           aggregated pipeline-utilization telemetry
-//	GET  /statusz              overload/degradation snapshot: health
-//	                           state machine, breaker states, durability
+//	GET  /metrics              engine + cache + Go-runtime counters,
+//	                           health state, breaker states, durability
 //	                           mode, queue-wait estimate, shed counters
+//	                           and aggregated pipeline-utilization
+//	                           telemetry
 //	GET  /debug/pprof/         live CPU/heap/goroutine profiling
 //
 // Submission bodies: a cell is {"benchmark","plan","techniques",
@@ -60,7 +60,6 @@ func NewServer(e *Engine) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
 	// Live profiling: a long matrix run can be inspected in place with
 	// `go tool pprof http://host/debug/pprof/profile`.
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -250,10 +249,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.engine.Metrics())
-}
-
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.engine.Statusz())
 }
 
 // --- helpers ---------------------------------------------------------------

@@ -10,13 +10,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // newTestServer wires a real engine (real simulations, tiny windows)
 // behind httptest.
 func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
 	t.Helper()
-	cache, err := NewCache(64, t.TempDir())
+	return newTestServerDir(t, t.TempDir())
+}
+
+// newTestServerDir is newTestServer over the disk cache in dir.
+func newTestServerDir(t *testing.T, dir string) (*httptest.Server, *Engine) {
+	t.Helper()
+	cache, err := NewCache(64, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,26 +167,43 @@ func TestServerAsyncSubmitAndPoll(t *testing.T) {
 	}
 }
 
+// TestServerBatchLifecycle submits a matrix to a daemon, then to a
+// second daemon over the same cache directory, which serves every cell
+// from the cache. Both reports are the bytes experiments.Run renders.
 func TestServerBatchLifecycle(t *testing.T) {
-	ts, _ := newTestServer(t)
-	body := `{"experiment":"fig6","benchmarks":["eon"],"cycles":120000,"warmup":20000}`
-	code, resp := postJSON(t, ts.URL+"/v1/jobs?wait=1", body)
-	if code != http.StatusOK {
-		t.Fatalf("batch submit: %d %s", code, resp)
-	}
-	var st BatchStatus
-	if err := json.Unmarshal(resp, &st); err != nil {
+	dir := t.TempDir()
+	spec := experiments.Fig6(120_000, "eon")
+	spec.Warmup = 20_000
+	direct, err := experiments.Run(context.Background(), spec, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != JobDone || len(st.Cells) != 2 || st.Experiment != "fig6" {
-		t.Fatalf("batch status: %+v", st)
+	body := `{"experiment":"fig6","benchmarks":["eon"],"cycles":120000,"warmup":20000}`
+	for pass := 0; pass < 2; pass++ {
+		ts, _ := newTestServerDir(t, dir)
+		code, resp := postJSON(t, ts.URL+"/v1/jobs?wait=1", body)
+		if code != http.StatusOK {
+			t.Fatalf("pass %d: batch submit: %d %s", pass, code, resp)
+		}
+		var st BatchStatus
+		if err := json.Unmarshal(resp, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != JobDone || len(st.Cells) != 2 || st.Experiment != "fig6" {
+			t.Fatalf("pass %d: batch status: %+v", pass, st)
+		}
+		for _, c := range st.Cells {
+			if c.Cached != (pass == 1) {
+				t.Errorf("pass %d: cell %s/%s cached=%v", pass, c.Benchmark, c.Variant, c.Cached)
+			}
+		}
+		code, rep := get(t, ts.URL+"/v1/jobs/"+st.Key+"/report")
+		if code != http.StatusOK || string(rep) != direct.Report() {
+			t.Fatalf("pass %d: batch report %d differs from experiments.Run:\n%s--- direct ---\n%s", pass, code, rep, direct.Report())
+		}
 	}
-	code, rep := get(t, ts.URL+"/v1/jobs/"+st.Key+"/report")
-	if code != http.StatusOK || !strings.Contains(string(rep), "Issue-queue constrained") {
-		t.Fatalf("batch report: %d\n%s", code, rep)
-	}
-	if !strings.Contains(string(rep), "speedup") {
-		t.Errorf("figure report missing speedup summary:\n%s", rep)
+	if rep := direct.Report(); !strings.Contains(rep, "Issue-queue constrained") || !strings.Contains(rep, "speedup") {
+		t.Errorf("figure report missing its title or speedup summary:\n%s", rep)
 	}
 }
 
@@ -289,7 +314,7 @@ func TestServerQuarantinedJobIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastRetries(EngineConfig{Workers: 1, QueueDepth: 8, Cache: cache, QuarantineAfter: 1})
+	cfg := fastRetries(EngineConfig{Workers: 1, QueueDepth: 8, Cache: cache, quarantineAfter: 1})
 	cfg.runFunc = func(ctx context.Context, req Request) ([]byte, error) {
 		panic("poisoned input")
 	}

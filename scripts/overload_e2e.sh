@@ -167,10 +167,10 @@ echo "==> disk yank: breakers trip, daemon degrades but keeps serving"
 sentinel="$workdir/disk-fault"
 start_daemon "$workdir/daemon-disk.log" \
     -workers 2 -cache-dir "$workdir/cache" -journal-dir "$workdir/journal" \
-    -chaos-disk-fault "$sentinel" -breaker-errors 2 -breaker-cooldown 500ms
-curl -fsS "$base/statusz" >"$workdir/statusz-healthy.json"
-grep -q '"durability":"journaled"' "$workdir/statusz-healthy.json" \
-    || fail "daemon did not start journaled: $(cat "$workdir/statusz-healthy.json")"
+    -chaos-disk-fault "$sentinel"
+curl -fsS "$base/metrics" >"$workdir/metrics-healthy.json"
+grep -q '"durability":"journaled"' "$workdir/metrics-healthy.json" \
+    || fail "daemon did not start journaled: $(cat "$workdir/metrics-healthy.json")"
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d "$(cell 8000000)" "$base/v1/jobs?wait=1" | grep -q '"state":"done"' \
     || fail "pre-fault cell did not complete"
@@ -186,16 +186,16 @@ for i in $(seq 1 20); do
         || fail "submission failed outright during the disk fault"
     grep -q '"state":"done"' "$workdir/fault-resp-$i.json" \
         || fail "cell did not complete during the disk fault: $(cat "$workdir/fault-resp-$i.json")"
-    curl -fsS "$base/statusz" >"$workdir/statusz-fault.json"
-    if grep -q '"durability":"none"' "$workdir/statusz-fault.json"; then
+    curl -fsS "$base/metrics" >"$workdir/metrics-fault.json"
+    if grep -q '"durability":"none"' "$workdir/metrics-fault.json"; then
         degraded=1
         break
     fi
     sleep 0.1
 done
-[ -n "$degraded" ] || fail "durability never degraded to none: $(cat "$workdir/statusz-fault.json")"
-grep -q '"state":"degraded"' "$workdir/statusz-fault.json" \
-    || fail "health machine not degraded: $(cat "$workdir/statusz-fault.json")"
+[ -n "$degraded" ] || fail "durability never degraded to none: $(cat "$workdir/metrics-fault.json")"
+grep -q '"state":"degraded"' "$workdir/metrics-fault.json" \
+    || fail "health machine not degraded: $(cat "$workdir/metrics-fault.json")"
 # Work submitted while the breaker is open skips the journal entirely;
 # push a little more through and the skip counter must move.
 skipped=""
@@ -220,14 +220,14 @@ rm "$sentinel"
 recovered=""
 for _ in $(seq 1 100); do
     healthz_ok "recovery"
-    curl -fsS "$base/statusz" >"$workdir/statusz-recovered.json"
-    if grep -q '"durability":"journaled"' "$workdir/statusz-recovered.json"; then
+    curl -fsS "$base/metrics" >"$workdir/metrics-recovered.json"
+    if grep -q '"durability":"journaled"' "$workdir/metrics-recovered.json"; then
         recovered=1
         break
     fi
     sleep 0.1
 done
-[ -n "$recovered" ] || fail "durability never recovered: $(cat "$workdir/statusz-recovered.json")"
+[ -n "$recovered" ] || fail "durability never recovered: $(cat "$workdir/metrics-recovered.json")"
 echo "    durability back to journaled"
 
 echo "==> recovery is real: a post-recovery cell survives SIGKILL"
