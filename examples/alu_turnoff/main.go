@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/config"
+	"repro/internal/floorplan"
 	"repro/internal/sim"
 )
 
@@ -50,7 +51,7 @@ func main() {
 		}
 		fmt.Printf("%-26s %6.2f %7d %9d  ", p.name, r.IPC, r.Stalls, r.ALUTurnoffs)
 		for u := 0; u < cfg.IntALUs; u++ {
-			t, _ := r.AvgTemp(fmt.Sprintf("IntExec%d", u))
+			t, _ := r.AvgTemp(floorplan.IntExec(u))
 			fmt.Printf("%6.1f", t)
 		}
 		if p.alu != config.ALUBase && baseIPC > 0 {

@@ -25,8 +25,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/config"
 	"repro/internal/floorplan"
 	"repro/internal/pipeline"
@@ -111,7 +109,7 @@ func New(cfg *config.Config, plan *floorplan.Plan, pipe *pipeline.Pipeline, th *
 		StallCauses: make([]uint64, plan.NumBlocks()),
 	}
 	for c := 0; c < cfg.IntRFCopies; c++ {
-		m.intReg[c] = plan.Index(fmt.Sprintf("IntReg%d", c))
+		m.intReg[c] = plan.Index(floorplan.IntReg(c))
 	}
 	if cfg.SensorNoiseK > 0 {
 		m.noise = rng.New(0x5e9507)

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/config"
+	"repro/internal/floorplan"
 	"repro/internal/pipeline"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -524,7 +525,7 @@ func (m *Matrix) Table5Report() string {
 			}
 			fmt.Fprintf(&sb, "%-10s %-20s %5.1f", b, v, r.IPC)
 			for u := 0; u < 6; u++ {
-				fmt.Fprintf(&sb, "  %7.1f", avgTemp(r, fmt.Sprintf("IntExec%d", u)))
+				fmt.Fprintf(&sb, "  %7.1f", avgTemp(r, floorplan.IntExec(u)))
 			}
 			fmt.Fprintln(&sb)
 		}

@@ -45,6 +45,9 @@ func IntExec(i int) string { return fmt.Sprintf("IntExec%d", i) }
 // FPAdd returns the name of floating-point adder i.
 func FPAdd(i int) string { return fmt.Sprintf("FPAdd%d", i) }
 
+// IntReg returns the name of integer register-file copy i.
+func IntReg(i int) string { return fmt.Sprintf("IntReg%d", i) }
+
 // Block is one rectangular thermal block on the die. Coordinates and sizes
 // are in meters.
 type Block struct {

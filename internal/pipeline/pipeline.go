@@ -166,10 +166,20 @@ type Pipeline struct {
 
 // New wires up a pipeline for the given configuration, floorplan, power
 // meter and instruction source. It returns an error if the configuration
-// does not validate.
+// does not validate or names more units or register-file copies than the
+// floorplan has blocks.
 func New(cfg *config.Config, plan *floorplan.Plan, meter *power.Meter, gen *trace.Generator) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
+	}
+	// Units are numbered from 0, so the last block of each kind is in the
+	// plan exactly when all of them are.
+	for _, b := range []string{
+		floorplan.IntExec(cfg.IntALUs - 1), floorplan.FPAdd(cfg.FPAdders - 1), floorplan.IntReg(cfg.IntRFCopies - 1),
+	} {
+		if !plan.Has(b) {
+			return nil, fmt.Errorf("pipeline: floorplan %s has no block %s", cfg.Plan, b)
+		}
 	}
 	p := &Pipeline{
 		cfg:       cfg,
@@ -254,7 +264,7 @@ func New(cfg *config.Config, plan *floorplan.Plan, meter *power.Meter, gen *trac
 	p.bFPAdd = plan.FPAddBlocks(cfg.FPAdders)
 	p.bIntReg = make([]int, cfg.IntRFCopies)
 	for c := 0; c < cfg.IntRFCopies; c++ {
-		p.bIntReg[c] = plan.Index(fmt.Sprintf("IntReg%d", c))
+		p.bIntReg[c] = plan.Index(floorplan.IntReg(c))
 	}
 
 	// Register the pipeline's event slots on the meter's bus and rebind

@@ -70,10 +70,21 @@ func TestUnknownBenchmarkRejected(t *testing.T) {
 }
 
 func TestInvalidConfigRejected(t *testing.T) {
-	cfg := config.Default()
-	cfg.IssueWidth = 0
-	if _, err := NewByName(cfg, "eon"); err == nil {
-		t.Fatal("invalid config accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*config.Config)
+	}{
+		{"IssueWidth 0", func(c *config.Config) { c.IssueWidth = 0 }},
+		// Shapes Validate accepts but no floorplan has blocks for.
+		{"IntALUs 8", func(c *config.Config) { c.IntALUs = 8 }},
+		{"FPAdders 5", func(c *config.Config) { c.FPAdders = 5 }},
+		{"IntRFCopies 3", func(c *config.Config) { c.IntRFCopies = 3 }},
+	} {
+		cfg := config.Default()
+		c.edit(cfg)
+		if _, err := NewByName(cfg, "eon"); err == nil {
+			t.Errorf("%s: invalid config accepted", c.name)
+		}
 	}
 }
 
