@@ -26,17 +26,10 @@ const (
 	IQNonCompacting
 )
 
-func (p IQPolicy) String() string {
-	switch p {
-	case IQBase:
-		return "base"
-	case IQToggle:
-		return "activity-toggling"
-	case IQNonCompacting:
-		return "non-compacting"
-	}
-	return fmt.Sprintf("IQPolicy(%d)", uint8(p))
-}
+// iqPolicyNames lists each IQPolicy's name, indexed by value.
+var iqPolicyNames = []string{"base", "activity-toggling", "non-compacting"}
+
+func (p IQPolicy) String() string { return enumName(p, "IQPolicy", iqPolicyNames) }
 
 // ALUPolicy selects the ALU power-density technique (§2.2).
 type ALUPolicy uint8
@@ -54,17 +47,10 @@ const (
 	ALURoundRobin
 )
 
-func (p ALUPolicy) String() string {
-	switch p {
-	case ALUBase:
-		return "base"
-	case ALUFineGrain:
-		return "fine-grain-turnoff"
-	case ALURoundRobin:
-		return "round-robin"
-	}
-	return fmt.Sprintf("ALUPolicy(%d)", uint8(p))
-}
+// aluPolicyNames lists each ALUPolicy's name, indexed by value.
+var aluPolicyNames = []string{"base", "fine-grain-turnoff", "round-robin"}
+
+func (p ALUPolicy) String() string { return enumName(p, "ALUPolicy", aluPolicyNames) }
 
 // RFMapping selects how ALU read ports are wired to register-file copies
 // (Figure 4 of the paper).
@@ -82,17 +68,10 @@ const (
 	MapCompletelyBalanced
 )
 
-func (m RFMapping) String() string {
-	switch m {
-	case MapPriority:
-		return "priority"
-	case MapBalanced:
-		return "balanced"
-	case MapCompletelyBalanced:
-		return "completely-balanced"
-	}
-	return fmt.Sprintf("RFMapping(%d)", uint8(m))
-}
+// rfMappingNames lists each RFMapping's name, indexed by value.
+var rfMappingNames = []string{"priority", "balanced", "completely-balanced"}
+
+func (m RFMapping) String() string { return enumName(m, "RFMapping", rfMappingNames) }
 
 // RFWritePolicy selects how writes are handled while a register-file copy
 // cools (§2.3, last paragraph).
@@ -107,15 +86,10 @@ const (
 	WriteCopyOnCool
 )
 
-func (p RFWritePolicy) String() string {
-	switch p {
-	case WriteMargin:
-		return "margin-writes"
-	case WriteCopyOnCool:
-		return "copy-on-cool"
-	}
-	return fmt.Sprintf("RFWritePolicy(%d)", uint8(p))
-}
+// rfWritePolicyNames lists each RFWritePolicy's name, indexed by value.
+var rfWritePolicyNames = []string{"margin-writes", "copy-on-cool"}
+
+func (p RFWritePolicy) String() string { return enumName(p, "RFWritePolicy", rfWritePolicyNames) }
 
 // TemporalPolicy selects the temporal fallback used when the spatial
 // techniques cannot contain an overheat (§1 and §5 of the paper discuss
@@ -133,15 +107,10 @@ const (
 	TemporalDVFS
 )
 
-func (p TemporalPolicy) String() string {
-	switch p {
-	case TemporalStopGo:
-		return "stop-go"
-	case TemporalDVFS:
-		return "dvfs"
-	}
-	return fmt.Sprintf("TemporalPolicy(%d)", uint8(p))
-}
+// temporalPolicyNames lists each TemporalPolicy's name, indexed by value.
+var temporalPolicyNames = []string{"stop-go", "dvfs"}
+
+func (p TemporalPolicy) String() string { return enumName(p, "TemporalPolicy", temporalPolicyNames) }
 
 // Scheduler selects the multicore task-to-core scheduling policy
 // (internal/multicore). The single-core paper pipeline never consults it.
@@ -165,19 +134,10 @@ const (
 	SchedThresholdMigrate
 )
 
-func (s Scheduler) String() string {
-	switch s {
-	case SchedRoundRobin:
-		return "roundrobin"
-	case SchedRandom:
-		return "random"
-	case SchedCoolestFirst:
-		return "coolest-first"
-	case SchedThresholdMigrate:
-		return "threshold-migrate"
-	}
-	return fmt.Sprintf("Scheduler(%d)", uint8(s))
-}
+// schedulerNames lists each Scheduler's name, indexed by value.
+var schedulerNames = []string{"roundrobin", "random", "coolest-first", "threshold-migrate"}
+
+func (s Scheduler) String() string { return enumName(s, "Scheduler", schedulerNames) }
 
 // Schedulers lists every scheduling policy in definition order.
 func Schedulers() []Scheduler {
@@ -198,16 +158,11 @@ const (
 	PlanRFConstrained
 )
 
+// floorplanVariantNames lists each FloorplanVariant's name, indexed by value.
+var floorplanVariantNames = []string{"issue-queue-constrained", "alu-constrained", "register-file-constrained"}
+
 func (v FloorplanVariant) String() string {
-	switch v {
-	case PlanIQConstrained:
-		return "issue-queue-constrained"
-	case PlanALUConstrained:
-		return "alu-constrained"
-	case PlanRFConstrained:
-		return "register-file-constrained"
-	}
-	return fmt.Sprintf("FloorplanVariant(%d)", uint8(v))
+	return enumName(v, "FloorplanVariant", floorplanVariantNames)
 }
 
 // Techniques bundles the power-density technique selections for one run.

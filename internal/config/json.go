@@ -11,105 +11,65 @@ package config
 
 import "fmt"
 
-// parseEnum maps a text name back to its enum value, with an error that
-// lists the valid names in a stable order.
-func parseEnum[T ~uint8](kind, s string, names []string, values []T) (T, error) {
+// enumName renders enum value v as its entry in names, or as typ(v)
+// when v is out of range.
+func enumName[T ~uint8](v T, typ string, names []string) string {
+	if int(v) < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, uint8(v))
+}
+
+// parseEnum stores in dst the value whose name is text, with an error
+// that lists the valid names in value order.
+func parseEnum[T ~uint8](dst *T, kind string, text []byte, names []string) error {
 	for i, n := range names {
-		if s == n {
-			return values[i], nil
+		if string(text) == n {
+			*dst = T(i)
+			return nil
 		}
 	}
-	var zero T
-	return zero, fmt.Errorf("config: unknown %s %q (valid: %v)", kind, s, names)
+	return fmt.Errorf("config: unknown %s %q (valid: %v)", kind, text, names)
 }
 
 func (p IQPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
 func (p *IQPolicy) UnmarshalText(b []byte) error {
-	v, err := parseEnum("issue-queue policy", string(b),
-		[]string{"base", "activity-toggling", "non-compacting"},
-		[]IQPolicy{IQBase, IQToggle, IQNonCompacting})
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
+	return parseEnum(p, "issue-queue policy", b, iqPolicyNames)
 }
 
 func (p ALUPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
 func (p *ALUPolicy) UnmarshalText(b []byte) error {
-	v, err := parseEnum("ALU policy", string(b),
-		[]string{"base", "fine-grain-turnoff", "round-robin"},
-		[]ALUPolicy{ALUBase, ALUFineGrain, ALURoundRobin})
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
+	return parseEnum(p, "ALU policy", b, aluPolicyNames)
 }
 
 func (m RFMapping) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
 func (m *RFMapping) UnmarshalText(b []byte) error {
-	v, err := parseEnum("register-file mapping", string(b),
-		[]string{"priority", "balanced", "completely-balanced"},
-		[]RFMapping{MapPriority, MapBalanced, MapCompletelyBalanced})
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
+	return parseEnum(m, "register-file mapping", b, rfMappingNames)
 }
 
 func (p RFWritePolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
 func (p *RFWritePolicy) UnmarshalText(b []byte) error {
-	v, err := parseEnum("register-file write policy", string(b),
-		[]string{"margin-writes", "copy-on-cool"},
-		[]RFWritePolicy{WriteMargin, WriteCopyOnCool})
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
+	return parseEnum(p, "register-file write policy", b, rfWritePolicyNames)
 }
 
 func (p TemporalPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
 func (p *TemporalPolicy) UnmarshalText(b []byte) error {
-	v, err := parseEnum("temporal policy", string(b),
-		[]string{"stop-go", "dvfs"},
-		[]TemporalPolicy{TemporalStopGo, TemporalDVFS})
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
+	return parseEnum(p, "temporal policy", b, temporalPolicyNames)
 }
 
 func (s Scheduler) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 func (s *Scheduler) UnmarshalText(b []byte) error {
-	v, err := parseEnum("scheduler", string(b),
-		[]string{"roundrobin", "random", "coolest-first", "threshold-migrate"},
-		[]Scheduler{SchedRoundRobin, SchedRandom, SchedCoolestFirst, SchedThresholdMigrate})
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
+	return parseEnum(s, "scheduler", b, schedulerNames)
 }
 
 func (v FloorplanVariant) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
 
 func (v *FloorplanVariant) UnmarshalText(b []byte) error {
-	fv, err := parseEnum("floorplan variant", string(b),
-		[]string{"issue-queue-constrained", "alu-constrained", "register-file-constrained"},
-		[]FloorplanVariant{PlanIQConstrained, PlanALUConstrained, PlanRFConstrained})
-	if err != nil {
-		return err
-	}
-	*v = fv
-	return nil
+	return parseEnum(v, "floorplan variant", b, floorplanVariantNames)
 }
