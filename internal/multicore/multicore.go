@@ -366,9 +366,9 @@ func (s *System) start(c *coreState, t *Task) error {
 // finish retires core c's task (or banks its progress, when the run ends
 // with the task in flight).
 func (s *System) finish(c *coreState, completed bool) {
-	r := c.machine.Snapshot()
-	c.task.committed += r.Committed
-	c.committed += r.Committed
+	n := c.machine.Pipe.Committed
+	c.task.committed += n
+	c.committed += n
 	c.task.done = completed
 	c.machine = nil
 	c.task = nil

@@ -82,7 +82,7 @@ func (s *System) Result() *Result {
 	for _, c := range s.cores {
 		committed := c.committed
 		if c.machine != nil {
-			committed += c.machine.Snapshot().Committed
+			committed += c.machine.Pipe.Committed
 		}
 		cr := CoreResult{
 			Core:          c.id,

@@ -4,9 +4,9 @@ package sim
 // machines onto one shared floorplan and one shared thermal network, so
 // it owns the thermal integration loop that run() owns in the single-core
 // case. These methods expose run()'s building blocks — one sensor
-// interval of execution or stall, external-temperature sensing + DTM, and
-// the result snapshot — without changing the single-core protocol; the
-// warmup is WarmupArch, which run() itself calls.
+// interval of execution or stall, and external-temperature sensing + DTM
+// — without changing the single-core protocol; the warmup is WarmupArch,
+// which run() itself calls.
 //
 // Contract: each StepInterval covers exactly SensorIntervalCycles of
 // wall-clock time whether the core executes or stalls, so lockstep
@@ -45,11 +45,3 @@ func (s *Simulator) SenseExternal(temps []float64) int {
 	s.sampleTemps()
 	return s.Mgr.Control()
 }
-
-// Cycles returns the wall-clock cycles accumulated so far, stalls
-// included.
-func (s *Simulator) Cycles() int64 { return s.globalCycles }
-
-// Snapshot returns the run summary accumulated so far — the same Result
-// run() returns at its end. It may be called repeatedly.
-func (s *Simulator) Snapshot() *Result { return s.result() }

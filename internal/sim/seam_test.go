@@ -30,8 +30,8 @@ func TestSeamIntervalAccounting(t *testing.T) {
 	if len(pow) != s.Plan.NumBlocks() {
 		t.Fatalf("power vector has %d entries for %d blocks", len(pow), s.Plan.NumBlocks())
 	}
-	if s.Cycles() != interval {
-		t.Fatalf("cycles %d after one interval, want %d", s.Cycles(), interval)
+	if s.globalCycles != interval {
+		t.Fatalf("cycles %d after one interval, want %d", s.globalCycles, interval)
 	}
 	committed := s.Pipe.Committed
 	if committed == 0 {
@@ -43,8 +43,8 @@ func TestSeamIntervalAccounting(t *testing.T) {
 	}
 
 	pow = s.StepInterval(true)
-	if s.Cycles() != 2*interval {
-		t.Fatalf("cycles %d after stalled interval, want %d", s.Cycles(), 2*interval)
+	if s.globalCycles != 2*interval {
+		t.Fatalf("cycles %d after stalled interval, want %d", s.globalCycles, 2*interval)
 	}
 	if s.Pipe.Committed != committed {
 		t.Fatal("stalled interval advanced the pipeline")
@@ -57,7 +57,7 @@ func TestSeamIntervalAccounting(t *testing.T) {
 		t.Fatalf("stall power %.3f W not in (0, active %.3f W)", stall, active)
 	}
 
-	r := s.Snapshot()
+	r := s.result()
 	if r.Cycles != 2*interval || r.StallCycles != interval || r.ActiveCycles != interval {
 		t.Fatalf("snapshot cycles %d/%d/%d, want %d/%d/%d",
 			r.Cycles, r.ActiveCycles, r.StallCycles, 2*interval, interval, interval)
@@ -98,7 +98,7 @@ func TestSeamSenseExternal(t *testing.T) {
 		t.Fatal("overheat did not count a stall event")
 	}
 
-	r := s.Snapshot()
+	r := s.result()
 	name := s.Plan.Blocks[hotIdx].Name
 	peak, ok := r.PeakTemp(name)
 	if !ok || peak != s.Cfg.MaxTempK {
@@ -126,7 +126,7 @@ func TestSeamDeterministic(t *testing.T) {
 			}
 		}
 	}
-	ra, rb := a.Snapshot(), b.Snapshot()
+	ra, rb := a.result(), b.result()
 	if ra.Committed != rb.Committed || ra.Cycles != rb.Cycles || ra.IPC != rb.IPC {
 		t.Fatalf("seam runs diverged: %+v vs %+v", ra, rb)
 	}
